@@ -162,7 +162,7 @@ def distance_cmd(cfg, x, y):
     interval = sp.minimal_interval(px, py)
     _emit(
         {
-            "distance": str(sp.distance(px, py)),
+            "distance": str(interval.length_between(px, py)),
             "interval": {"a": str(interval.a), "b": str(interval.b)},
         }
     )
@@ -189,7 +189,7 @@ def geodesic_cmd(cfg, x, y, depth, svg_out):
             handle.write(path_svg(sp, path))
     _emit(
         {
-            "distance": str(sp.distance(px, py)),
+            "distance": str(interval.length_between(px, py)),
             "interval": {"a": str(interval.a), "b": str(interval.b)},
             "path": _path_json(path),
         }

@@ -49,11 +49,16 @@ class Address:
         j = min(range(m), key=lambda t: cyc[t:] + cyc[:t])
         pre = pre + cyc[:j]
         cyc = cyc[j:] + cyc[:j]
-        # absorb trailing whole copies of the cycle
+        self._store(pre, cyc)
+
+    def _store(self, pre: tuple[int, ...], cyc: tuple[int, ...]) -> "Address":
+        """Set the parts from a canonical cycle, absorbing trailing whole copies of it."""
+        m = len(cyc)
         while len(pre) >= m and pre[-m:] == cyc:
             pre = pre[:-m]
         object.__setattr__(self, "prefix", pre)
         object.__setattr__(self, "cycle", cyc)
+        return self
 
     def digit(self, i: int) -> int:
         """The i-th digit (1-based) of the infinite expansion."""
@@ -72,7 +77,8 @@ class Address:
             reps = -(-(n - len(pre)) // len(cyc))
             pre = pre + cyc * reps
         flipped = pre[: n - 1] + (1 - pre[n - 1],) + pre[n:]
-        return Address(flipped, cyc)
+        # the cycle is unchanged and so still canonical: skip to the absorption
+        return object.__new__(Address)._store(flipped, cyc)
 
     def __str__(self):
         return format_address(self)

@@ -17,7 +17,7 @@ higher order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -114,8 +114,9 @@ class MinimalInterval:
     def width(self) -> Fraction:
         return self.b - self.a
 
-    def witness_map(self) -> dict[int, WormholeLevel]:
-        return dict(self.witnesses)
+    def length_between(self, x: Point, y: Point) -> Fraction:
+        """2(b-a) - |h(y)-h(x)|: the length of a shortest path from x to y over [a, b]."""
+        return 2 * self.width - abs(y.height - x.height)
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +163,7 @@ def distance(space: Space, x: Point, y: Point) -> Fraction:
     """Exact geodesic distance: 2(b-a) - |h(y)-h(x)| over the minimal interval."""
     if x == y:
         return Fraction(0)
-    interval = minimal_interval(space, x, y)
-    return 2 * interval.width - abs(y.height - x.height)
+    return minimal_interval(space, x, y).length_between(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -210,24 +210,8 @@ def _sweep_levels(space: Space, lo: Fraction, hi: Fraction, diffs: DifferenceOrd
     ms = space.mseq
     placed: list[WormholeLevel] = list(anchors.values())
     current = lo
-    if diffs.is_finite:
-        for order in diffs:
-            if order in anchors:
-                continue
-            level = first_in_interval(ms, order, current, hi)
-            if level is None:
-                level = last_in_interval(ms, order, lo, current)
-                assert level is not None, "minimal interval misses a required order"
-            else:
-                current = level.value
-            placed.append(level)
-        placed.sort(key=lambda w: w.value)
-        return placed, None, []
-    orders = iter(diffs)
-    count = 0
     omega: Union[Fraction, Interval, None] = None
-    while omega is None:
-        order = next(orders)
+    for order in diffs:
         if order in anchors:
             continue
         level = first_in_interval(ms, order, current, hi)
@@ -237,117 +221,111 @@ def _sweep_levels(space: Space, lo: Fraction, hi: Fraction, diffs: DifferenceOrd
         else:
             current = level.value
         placed.append(level)
-        count += 1
-        if count < depth:
+        count = len(placed) - len(anchors)
+        if diffs.is_finite or count < depth:
             continue
+        rest = _order_tail_sum(ms, diffs, beyond=order)
         if current == hi:
             # the chain reached the ceiling: every later order drops in just
             # below it, so the heights accumulate at hi itself
             omega = hi
-            break
-        rest = _order_tail_sum(ms, diffs, beyond=order)
-        if rest is None:
+        elif rest is None:
             omega = Interval(current, min(hi, current + Fraction(1, ms.D(order))))
         elif current + rest <= hi:
             omega = current + rest
         elif count > depth + 512:
             raise RuntimeError("sweep did not stabilise")  # unreachable
+        if omega is not None:
+            break
     placed.sort(key=lambda w: w.value)
     if isinstance(omega, Interval):
         # materialized chain levels sit at or below the enclosure's floor
         pre = [w for w in placed if w.value <= omega.lo]
-        post = [w for w in placed if w.value > omega.lo]
     else:
-        pre = [w for w in placed if w.value < omega]
-        post = [w for w in placed if w.value >= omega]
-    return pre, omega, post
+        pre = [w for w in placed if omega is None or w.value < omega]
+    return pre, omega, placed[len(pre):]
 
 
 # ---------------------------------------------------------------------------
 # path assembly
+#
+# Builders record a path as a list of moves in traversal order: Segments,
+# (level, from_address, to_address) jump records, and the limit height where
+# a tail hides the accumulating moves.  ``_assemble`` turns the list into a
+# PathRep and gives each jump its kind.
 
 
-def _moves_directions(path: PathRep) -> list:
-    """Vertical direction at every element, None for jumps."""
-    sequence: list = list(path.items)
-    if path.tail is not None:
-        before = path.start.height
-        for element in path.items:
-            before = element.h_end if isinstance(element, Segment) else element.height
-        omega = path.tail.omega
-        target = omega.lo if isinstance(omega, Interval) else omega
-        sequence.append((target > before) - (target < before))
-        sequence.extend(path.post)
-    directions = []
-    for element in sequence:
-        if isinstance(element, Segment):
-            directions.append(element.direction or None)
-        elif isinstance(element, Jump):
-            directions.append(None)
-        else:
-            directions.append(element or None)
-    return directions
+def _side(h: Fraction, omega: Union[Fraction, Interval]) -> int:
+    """Direction of the run from height h into the limit omega (0: none)."""
+    lo, hi = (omega.lo, omega.hi) if isinstance(omega, Interval) else (omega, omega)
+    return 1 if lo >= h and hi > h else -1 if hi <= h and lo < h else 0
 
 
-def _with_kinds(path: PathRep) -> PathRep:
-    """Recompute every jump kind from its surrounding vertical directions."""
-    directions = _moves_directions(path)
-    elements = list(path.items)
-    if path.tail is not None:
-        elements.append(None)  # placeholder aligned with the tail direction
-        elements.extend(path.post)
-
-    def neighbour(idx: int, step: int) -> Optional[int]:
-        j = idx + step
-        while 0 <= j < len(directions):
-            if directions[j] is not None:
-                return directions[j]
-            j += step
-        return None
-
-    rebuilt = []
-    for idx, element in enumerate(elements):
-        if not isinstance(element, Jump):
-            rebuilt.append(element)
-            continue
-        into = neighbour(idx, -1)
-        out = neighbour(idx, +1)
-        into = into if into is not None else out
-        out = out if out is not None else into
-        if into == out == 1:
-            kind = UPWARD
-        elif into == out == -1:
-            kind = DOWNWARD
-        elif into is None:
-            kind = UPWARD  # isolated jump: no vertical motion at all
-        else:
-            kind = INVERSION
-        rebuilt.append(replace(element, kind=kind))
-    if path.tail is None:
-        return replace(path, items=tuple(rebuilt))
-    split = len(path.items)
-    return replace(path, items=tuple(rebuilt[:split]), post=tuple(rebuilt[split + 1:]))
-
-
-def _reversed_path(path: PathRep) -> PathRep:
-    def flip(element):
-        if isinstance(element, Segment):
-            return Segment(element.address, element.h_end, element.h_start)
-        return Jump(element.level, element.to_address, element.from_address, element.kind)
-
-    rev_items = tuple(flip(e) for e in reversed(path.items))
-    rev_post = tuple(flip(e) for e in reversed(path.post))
-    if path.tail is None:
-        flipped = PathRep(path.end, path.start, rev_post + rev_items)
-    else:
-        tail = Tail(path.tail.omega, sum(isinstance(e, Jump) for e in rev_post))
-        flipped = PathRep(path.end, path.start, rev_post, tail, rev_items)
-    return _with_kinds(flipped) if flipped.jumps() else flipped
-
-
-def _append_segment(moves: list, address: Address, h_from: Fraction, h_to: Fraction):
-    if h_from != h_to:
+def _append_segment(moves: list, address: Address, h_from: Optional[Fraction], h_to: Fraction):
+    """Record the run from h_from to h_to, unless it is empty or hidden by a tail."""
+    if h_from is not None and h_from != h_to:
         moves.append(Segment(address, h_from, h_to))
+
+
+def _jump(moves: list, address: Address, h: Optional[Fraction], level: WormholeLevel) -> Address:
+    """Record the run from h to level and the jump there; return the new address."""
+    _append_segment(moves, address, h, level.value)
+    switched = address.switch(level.order)
+    moves.append((level, address, switched))
+    return switched
+
+
+def _flip(move):
+    """The move walked the other way."""
+    if isinstance(move, Segment):
+        return Segment(move.address, move.h_end, move.h_start)
+    if isinstance(move, tuple):
+        return (move[0], move[2], move[1])
+    return move
+
+
+def _assemble(start: Point, end: Point, moves: list) -> PathRep:
+    """The PathRep of a move list, each jump's kind fixed from its sides.
+
+    A jump's sides are the nearest vertical moves before and after it, a
+    tail counting by the side of its limit; with motion on one side only,
+    that side stands for both, and a jump with none is upward.
+    """
+    elements: list = []
+    pending: list[tuple[int, Optional[int]]] = []  # jumps still lacking the side out
+    into: Optional[int] = None
+    h = start.height
+    tail = None
+    split = None
+
+    def settle(out: Optional[int]) -> None:
+        for idx, before in pending:
+            before, after = before or out, out or before
+            kind = INVERSION if before != after else DOWNWARD if before == -1 else UPWARD
+            elements[idx] = Jump(*elements[idx], kind)
+        pending.clear()
+
+    for move in moves:
+        if isinstance(move, tuple):
+            pending.append((len(elements), into))
+            elements.append(move)
+            h = move[0].value
+            continue
+        if isinstance(move, Segment):
+            direction = move.direction
+            elements.append(move)
+            h = move.h_end
+        else:
+            direction = _side(h, move)
+            split = len(elements)
+            tail = Tail(move, sum(not isinstance(e, Segment) for e in elements))
+        if direction:
+            settle(direction)
+            into = direction
+    settle(None)
+    if tail is None:
+        return PathRep(start, end, tuple(elements))
+    return PathRep(start, end, tuple(elements[:split]), tail, tuple(elements[split:]))
 
 
 def geodesic_path(space: Space, x: Point, y: Point, depth: int = 8) -> PathRep:
@@ -363,73 +341,41 @@ def geodesic_path(space: Space, x: Point, y: Point, depth: int = 8) -> PathRep:
         return PathRep(x, y, (Segment(x.address, x.height, x.height),))
     interval = minimal_interval(space, x, y)
     low, high = (x, y) if x.height <= y.height else (y, x)
-    flip = low is not x
     diffs = difference_orders(low.address, high.address)
-    if not diffs:
-        path = PathRep(low, high, (Segment(low.address, low.height, high.height),))
-        return _reversed_path(path) if flip else path
-
     anchors: dict[int, WormholeLevel] = {}
     for order, witness in interval.witnesses:
         boundary_low = witness.value == interval.a and interval.a < low.height
         boundary_high = witness.value == interval.b and interval.b > high.height
         if boundary_low or boundary_high:
             anchors[order] = witness
-    pre, omega, post_levels = _sweep_levels(
-        space, interval.a, interval.b, diffs, anchors, depth
-    )
+    pre, omega, post = _sweep_levels(space, interval.a, interval.b, diffs, anchors, depth)
 
-    items: list = []
+    moves: list = []
     address = low.address
-    h = low.height
-    if interval.a < h:
-        items.append(Segment(address, h, interval.a))
-        h = interval.a
+    _append_segment(moves, address, low.height, interval.a)
+    h = interval.a
     for level in pre:
-        _append_segment(items, address, h, level.value)
+        address = _jump(moves, address, h, level)
         h = level.value
-        switched = address.switch(level.order)
-        items.append(Jump(level, address, switched))
-        address = switched
-
-    tail = None
-    post_items: list = []
     if omega is None:
-        _append_segment(items, address, h, interval.b)
+        _append_segment(moves, address, h, interval.b)
         h = interval.b
-        _append_segment(items, address, h, high.height)
-        assert address == high.address
     else:
-        tail = Tail(omega, sum(isinstance(e, Jump) for e in items))
+        moves.append(omega)
         address = high.address
-        for level in post_levels:
+        for level in post:
             address = address.switch(level.order)  # undo the post flips: limit address
-        if isinstance(omega, Fraction):
-            h = omega
-            for level in post_levels:
-                _append_segment(post_items, address, h, level.value)
-                h = level.value
-                switched = address.switch(level.order)
-                post_items.append(Jump(level, address, switched))
-                address = switched
-            _append_segment(post_items, address, h, high.height)
-        else:
-            # certified-interval tail: only the run from the limit to the
-            # first post move stays implicit, everything after it is exact
-            h = None
-            for level in post_levels:
-                if h is not None:
-                    _append_segment(post_items, address, h, level.value)
-                h = level.value
-                switched = address.switch(level.order)
-                post_items.append(Jump(level, address, switched))
-                address = switched
-            if h is not None:
-                _append_segment(post_items, address, h, high.height)
-        assert address == high.address
-    path = PathRep(low, high, tuple(items), tail, tuple(post_items))
-    path = _with_kinds(path)
-    return _reversed_path(path) if flip else path
+        # past a certified enclosure the run up to the first post move stays
+        # implicit; everything after it is exact
+        h = omega if isinstance(omega, Fraction) else None
+        for level in post:
+            address = _jump(moves, address, h, level)
+            h = level.value
+    _append_segment(moves, address, h, high.height)
+    assert address == high.address
+    if low is not x:
+        moves = [_flip(move) for move in reversed(moves)]
+    return _assemble(x, y, moves)
 
 
 # ---------------------------------------------------------------------------
@@ -480,65 +426,38 @@ def connect(space: Space, x: Point, y: Point, strategy: str = NEAREST, depth: in
     if level is not None and end_address.digit(level.order) != start_address.digit(level.order):
         end_address = end_address.switch(level.order)
     diffs = difference_orders(start_address, end_address)
-    if not diffs:
-        return PathRep(x, y, (Segment(start_address, x.height, y.height),))
 
+    # every step beyond the truncation moves one grid unit towards the
+    # limit: upward for the nearest rule (ties go up) and for rising sweeps
     upward = y.height >= x.height
-    items: list = []
+    rising = strategy == NEAREST or upward
+    moves: list = []
     address = start_address
     h = x.height
-    if diffs.is_finite:
-        for order in diffs:
-            level = _pick_level(ms, order, h, strategy, upward)
-            _append_segment(items, address, h, level.value)
-            h = level.value
-            switched = address.switch(order)
-            items.append(Jump(level, address, switched))
-            address = switched
-        _append_segment(items, address, h, y.height)
-        assert address == end_address
-        return _with_kinds(PathRep(x, y, tuple(items)))
-
-    orders = iter(diffs)
-    count = 0
-    omega: Union[Fraction, Interval, None] = None
-    last_order = 0
-    while omega is None:
-        order = next(orders)
-        last_order = order
+    for count, order in enumerate(diffs, 1):
         level = _pick_level(ms, order, h, strategy, upward)
-        _append_segment(items, address, h, level.value)
+        address = _jump(moves, address, h, level)
         h = level.value
-        switched = address.switch(order)
-        items.append(Jump(level, address, switched))
-        address = switched
-        count += 1
-        if count < depth:
+        if diffs.is_finite or count < depth:
             continue
-        rest = _order_tail_sum(ms, diffs, beyond=last_order)
+        rest = _order_tail_sum(ms, diffs, beyond=order)
         if rest is not None:
-            # every remaining step moves one grid unit towards the limit:
-            # upward for the nearest rule (ties go up) and for rising sweeps
-            omega = h + rest if (strategy == NEAREST or upward) else h - rest
+            omega = h + rest if rising else h - rest
+        elif rising:
+            omega = Interval(h, min(Fraction(1), h + Fraction(1, ms.D(order))))
         else:
-            step = Fraction(1, ms.D(last_order))
-            if strategy == NEAREST or upward:
-                omega = Interval(h, min(Fraction(1), h + step))
-            else:
-                omega = Interval(max(Fraction(0), h - step), h)
-    tail = Tail(omega, count)
-    post: tuple = ()
-    if isinstance(omega, Fraction) and omega != y.height:
-        post = (Segment(end_address, omega, y.height),)
-    return _with_kinds(PathRep(x, y, tuple(items), tail, post))
+            omega = Interval(max(Fraction(0), h - Fraction(1, ms.D(order))), h)
+        moves.append(omega)
+        address = end_address
+        h = omega if isinstance(omega, Fraction) else None
+        break
+    _append_segment(moves, address, h, y.height)
+    assert address == end_address
+    return _assemble(x, y, moves)
 
 
 # ---------------------------------------------------------------------------
 # measurements over paths
-
-
-def _absdiff(a, b):
-    return abs(a - b)
 
 
 def path_length(path: PathRep) -> Union[Fraction, Interval]:
@@ -556,19 +475,19 @@ def path_length(path: PathRep) -> Union[Fraction, Interval]:
         nonlocal total, current
         for element in elements:
             if isinstance(element, Segment):
-                total += _absdiff(element.h_start, current)  # zero on well-formed paths
+                total += abs(element.h_start - current)  # zero on well-formed paths
                 total += element.length
                 current = element.h_end
             else:
-                total += _absdiff(element.height, current)
+                total += abs(element.height - current)
                 current = element.height
 
     walk(path.items)
     if path.tail is not None:
-        total += _absdiff(path.tail.omega, current)
+        total += abs(path.tail.omega - current)
         current = path.tail.omega
     walk(path.post)
-    total += _absdiff(path.end.height, current)
+    total += abs(path.end.height - current)
     if isinstance(total, Interval) and total.lo == total.hi:
         return total.lo
     return total
@@ -577,8 +496,13 @@ def path_length(path: PathRep) -> Union[Fraction, Interval]:
 def classify(path: PathRep) -> tuple[str, tuple[str, ...]]:
     """Overall monotonicity label plus the per-jump kinds."""
     kinds = tuple(j.kind for j in path.jumps())
-    directions = {d for d in _moves_directions(path) if d is not None}
-    if INVERSION in kinds or directions == {1, -1}:
+    directions = {s.direction for s in path.segments()}
+    if path.tail is not None:
+        h = path.start.height
+        for last in path.items[-1:]:
+            h = last.h_end if isinstance(last, Segment) else last.height
+        directions.add(_side(h, path.tail.omega))
+    if INVERSION in kinds or {1, -1} <= directions:
         label = OSCILLATING
     elif -1 in directions:
         label = MONOTONE_DOWN

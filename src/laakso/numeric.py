@@ -234,12 +234,6 @@ class ScaleFactor:
             return Interval(lo * scale, lo * scale)
         return Interval(lo * scale, (lo + 1) * scale)
 
-    def approx(self) -> float:
-        """Float estimate, for rendering only."""
-        if self.ratio is not None:
-            return float(self.ratio)
-        return 2.0 ** float(self.log2)
-
     def __str__(self):
         if self.ratio is not None:
             return str(self.ratio)

@@ -100,10 +100,6 @@ class Space:
             (p.address.switch(level.order), p.height),
         )
 
-    def height(self, p: Point) -> Fraction:
-        """Vertical coordinate; invariant under the choice of preimage."""
-        return p.height
-
     def embed(self, p: Point, bits: int = 64) -> tuple[Union[Fraction, Interval], Fraction]:
         """Coordinates of the canonical preimage in the ambient product."""
         return value(p.address, self.scale, bits), p.height

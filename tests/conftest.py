@@ -19,6 +19,12 @@ def s4():
 
 
 @pytest.fixture(scope="session")
+def s72():
+    """Rational non-integer scale 7/2: mixed branching entries, interval tails."""
+    return Space.from_ratio(Fraction(7, 2))
+
+
+@pytest.fixture(scope="session")
 def q13():
     """Dimension 13/10: irrational scale 2**(10/3)."""
     return Space.from_dimension(Fraction(13, 10))

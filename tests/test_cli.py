@@ -93,6 +93,15 @@ class TestGeodesicAndPath:
         text = svg.read_text()
         assert text.startswith("<svg") and "dasharray" in text
 
+    @pytest.mark.parametrize("depth", ["4", "8", "32"])
+    def test_interval_tail_kinds(self, runner, depth):
+        result = invoke(
+            runner, "-s", "7/2", "geodesic", "10000000(1)@11/24", "0111(001)@46/97",
+            "--depth", depth,
+        )
+        kinds = [j["kind"] for j in json.loads(result.output)["path"]["jumps"]]
+        assert kinds.count("inversion") == 2
+
     def test_path_strategies_differ_on_worked_pair(self, runner):
         nearest = json.loads(
             invoke(runner, "-s", "3", "path", "(0)@1/5", "101(0)@1/10").output

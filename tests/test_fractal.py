@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from laakso import (
     Address,
@@ -87,6 +88,26 @@ class TestDigitsAndSwitch:
             n = rng.randint(1, 12)
             assert a.switch(n).switch(n) == a
             assert a.switch(n).digit(n) == 1 - a.digit(n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(0, 1), max_size=10),
+        st.lists(st.integers(0, 1), min_size=1, max_size=12),
+        st.integers(1, 40),
+    )
+    def test_switch_matches_full_canonicalisation(self, prefix, cycle, n):
+        a = Address(tuple(prefix), tuple(cycle))
+        # the flipped string, with the cycle attached where its phase is unchanged
+        length = len(a.prefix)
+        while length < n:
+            length += len(a.cycle)
+        digits = [a.digit(i) for i in range(1, length + 1)]
+        digits[n - 1] = 1 - digits[n - 1]
+        expected = Address(tuple(digits), a.cycle)
+        switched = a.switch(n)
+        assert (switched.prefix, switched.cycle) == (expected.prefix, expected.cycle)
+        assert switched == expected and hash(switched) == hash(expected)
+        assert switched.switch(n) == a and hash(switched.switch(n)) == hash(a)
 
 
 class TestAsymptotics:

@@ -219,14 +219,30 @@ class TestGeodesic:
             validate(path, s3)
             assert path_length(path) == distance(s3, x, y)
 
-    def test_at_most_two_inversions(self, s3):
+    @pytest.mark.parametrize("name", ["s3", "s72", "q13"])
+    def test_at_most_two_inversions(self, name, request):
+        space = request.getfixturevalue(name)
         rng = random.Random(47)
         for _ in range(300):
-            x, y = random_point(s3, rng), random_point(s3, rng)
+            x, y = random_point(space, rng), random_point(space, rng)
             if x == y:
                 continue
-            _, kinds = classify(geodesic_path(s3, x, y))
-            assert kinds.count(INVERSION) <= 2
+            _, kinds = classify(geodesic_path(space, x, y))
+            assert kinds.count(INVERSION) <= 2, (str(x), str(y))
+
+    @pytest.mark.parametrize("depth", [4, 8, 32])
+    def test_interval_tail_jumps_take_the_limit_side(self, s72, depth):
+        # the run into a certified limit keeps rising although the enclosure
+        # starts at the last jump's height: only the two turns are inversions
+        x = s72.parse_point("10000000(1)@11/24")
+        y = s72.parse_point("0111(001)@46/97")
+        for a, b in ((x, y), (y, x)):
+            path = geodesic_path(s72, a, b, depth)
+            assert isinstance(path.tail.omega, Interval)
+            label, kinds = classify(path)
+            assert label == OSCILLATING
+            assert kinds.count(INVERSION) == 2
+            assert kinds[0] == kinds[-1] == INVERSION
 
     def test_oscillating_kinds_on_worked_path(self, s3, worked_pair):
         label, kinds = classify(connect(s3, *worked_pair, strategy="nearest"))
