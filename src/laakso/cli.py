@@ -2,7 +2,8 @@
 
 Every fraction is emitted as an exact "p/q" string, never a float.  Exit
 codes: 0 on success, 2 on any parse/usage error, 3 on an infeasible
-branching override or an exhausted precision budget.
+branching override, an exhausted precision budget or an oracle graph over
+its vertex budget.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 import click
 
 from . import oracle as oracle_mod
-from .errors import InfeasibleSequence, ParseError, PrecisionExhausted
+from .errors import InfeasibleSequence, ParseError, PrecisionExhausted, ResourceLimit
 from .fractal import Address, format_address
 from .geodesic import PathRep, classify, connect, geodesic_path, path_length
 from .numeric import Interval
@@ -77,7 +78,7 @@ def _guarded(fn):
         except ParseError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
-        except (InfeasibleSequence, PrecisionExhausted) as exc:
+        except (InfeasibleSequence, PrecisionExhausted, ResourceLimit) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(3)
 
@@ -99,9 +100,12 @@ class _Config:
                 override = tuple(int(tok) for tok in self.m_override.split(","))
             except ValueError:
                 raise ParseError(f"bad override list {self.m_override!r}") from None
-        if self.s is not None:
-            return Space.from_ratio(_fraction(self.s), override)
-        return Space.from_dimension(_fraction(self.q), override)
+        try:
+            if self.s is not None:
+                return Space.from_ratio(_fraction(self.s), override)
+            return Space.from_dimension(_fraction(self.q), override)
+        except ValueError as exc:  # a scale or dimension out of range
+            raise ParseError(str(exc)) from None
 
 
 @click.group()
@@ -118,7 +122,7 @@ def main(ctx, s, q, m_override, seed):
 
 
 @main.command("space-info")
-@click.option("--entries", type=int, default=8, show_default=True, help="How many branching entries to print.")
+@click.option("--entries", type=click.IntRange(min=0), default=8, show_default=True, help="How many branching entries to print.")
 @click.pass_obj
 @_guarded
 def space_info(cfg, entries):
@@ -136,7 +140,7 @@ def space_info(cfg, entries):
 
 
 @main.command("wormholes")
-@click.option("--order", type=int, required=True, help="Level order k >= 1.")
+@click.option("--order", type=click.IntRange(min=1), required=True, help="Level order k >= 1.")
 @click.option("--from", "lo", default="0", show_default=True, help="Lower height bound.")
 @click.option("--to", "hi", default="1", show_default=True, help="Upper height bound.")
 @click.pass_obj
@@ -213,7 +217,7 @@ def path_cmd(cfg, x, y, strategy, depth):
 
 @main.command("matrix")
 @click.option("--count", type=int, default=8, show_default=True, help="Number of sampled points.")
-@click.option("--prefix-len", type=int, default=4, show_default=True, help="Maximum address prefix length.")
+@click.option("--prefix-len", type=click.IntRange(min=0), default=4, show_default=True, help="Maximum address prefix length.")
 @click.pass_obj
 @_guarded
 def matrix(cfg, count, prefix_len):
@@ -241,7 +245,7 @@ def matrix(cfg, count, prefix_len):
 
 
 @main.command("oracle-check")
-@click.option("--depth", type=int, required=True, help="Approximation depth K.")
+@click.option("--depth", type=click.IntRange(min=1), required=True, help="Approximation depth K.")
 @click.option("--samples", type=int, default=200, show_default=True)
 @click.pass_obj
 @_guarded
@@ -254,14 +258,17 @@ def oracle_check(cfg, depth, samples):
 
 
 @main.command("oracle-export")
-@click.option("--depth", type=int, required=True, help="Approximation depth K.")
+@click.option("--depth", type=click.IntRange(min=1), required=True, help="Approximation depth K.")
 @click.option("--format", "fmt", type=click.Choice(["edgelist"]), default="edgelist", show_default=True)
 @click.option("--extra-height", "extras", multiple=True, help="Insert an extra height node (repeatable).")
 @click.pass_obj
 @_guarded
 def oracle_export(cfg, depth, fmt, extras):
     """Emit the approximation graph as `u v w` lines with exact weights."""
-    graph = oracle_mod.build(cfg.space, depth, [_fraction(e) for e in extras])
+    try:
+        graph = oracle_mod.build(cfg.space, depth, [_fraction(e) for e in extras])
+    except ValueError as exc:  # an extra height outside [0, 1]
+        raise ParseError(str(exc)) from None
     for u, v, w in oracle_mod.iter_edges(graph):
         click.echo(f"{u} {v} {w}")
 

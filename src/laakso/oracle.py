@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional
 
@@ -35,14 +35,19 @@ class ApproxGraph:
     depth: int
     heights: tuple[Fraction, ...]
     orders: tuple[Optional[int], ...]
+    height_index: dict[Fraction, int] = field(init=False, compare=False, repr=False)
 
-    @property
-    def height_index(self) -> dict[Fraction, int]:
-        return {h: i for i, h in enumerate(self.heights)}
+    def __post_init__(self):
+        object.__setattr__(self, "height_index", {h: i for i, h in enumerate(self.heights)})
 
     @property
     def vertex_count(self) -> int:
         return (1 << self.depth) * len(self.heights)
+
+
+def _check_budget(depth: int, rows: int, max_vertices: int) -> None:
+    if (1 << depth) * rows > max_vertices:
+        raise ResourceLimit(f"{(1 << depth) * rows} vertices exceed the budget of {max_vertices}")
 
 
 def build(space: Space, depth: int, extra_heights=(), max_vertices: int = 1_000_000) -> ApproxGraph:
@@ -50,6 +55,7 @@ def build(space: Space, depth: int, extra_heights=(), max_vertices: int = 1_000_
     if depth < 1:
         raise ValueError("depth must be >= 1")
     grid_den = space.mseq.D(depth)
+    _check_budget(depth, grid_den + 1, max_vertices)  # the grid alone, before it is built
     heights = {Fraction(j, grid_den) for j in range(grid_den + 1)}
     for h in extra_heights:
         h = Fraction(h)
@@ -57,10 +63,7 @@ def build(space: Space, depth: int, extra_heights=(), max_vertices: int = 1_000_
             raise ValueError(f"extra height {h} outside [0, 1]")
         heights.add(h)
     ordered = tuple(sorted(heights))
-    if (1 << depth) * len(ordered) > max_vertices:
-        raise ResourceLimit(
-            f"{(1 << depth) * len(ordered)} vertices exceed the budget of {max_vertices}"
-        )
+    _check_budget(depth, len(ordered), max_vertices)
     orders = []
     for h in ordered:
         level = classify_height(space.mseq, h)

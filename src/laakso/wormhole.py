@@ -9,21 +9,13 @@ are never enumerated unless a caller explicitly iterates a range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Iterator, Optional
 
 from .errors import InfeasibleSequence, NoLevelFound
 from .numeric import ScaleFactor
-
-
-def _ceil(fr: Fraction) -> int:
-    return -(-fr.numerator // fr.denominator)
-
-
-def _floor(fr: Fraction) -> int:
-    return fr.numerator // fr.denominator
 
 
 def _strip(value: int, factor: int) -> int:
@@ -59,8 +51,7 @@ class MSequence:
         """m_i (1-based)."""
         if i < 1:
             raise ValueError("entries are indexed from 1")
-        while len(self._m) < i:
-            self._extend()
+        self.D(i)
         return self._m[i - 1]
 
     def D(self, k: int) -> int:
@@ -73,8 +64,7 @@ class MSequence:
 
     def sandwich_holds(self, i: int) -> bool:
         """Re-assert the two-sided bound (n/(n+1))/D_i <= s**-i <= ((n+1)/n)/D_i."""
-        self.entry(i)
-        return self._feasible(i, self._products[i])
+        return self._feasible(i, self.D(i))
 
     def _feasible(self, i: int, product: int) -> bool:
         n = self.n
@@ -117,18 +107,33 @@ class MSequence:
 class WormholeLevel:
     """A single identification height: value = numerator / D_order.
 
-    The mixed-radix digits (most significant first, radices m_1..m_k) and
-    the numerator describe the same value; the last digit is never zero,
-    which keeps level sets of different orders disjoint.
+    The order and the numerator fix the level.  Its mixed-radix digits
+    (most significant first, radices m_1..m_k) are derived on request; the
+    last digit is never zero, which keeps level sets of different orders
+    disjoint.
     """
 
     order: int
     numerator: int
     value: Fraction
-    digits: tuple[int, ...]
+    mseq: MSequence = field(compare=False, repr=False)
+
+    @property
+    def digits(self) -> tuple[int, ...]:
+        digits = []
+        rest = self.numerator
+        for j in range(self.order, 0, -1):
+            rest, digit = divmod(rest, self.mseq.entry(j))
+            digits.append(digit)
+        return tuple(reversed(digits))
 
     def __str__(self):
         return f"{self.value} (order {self.order})"
+
+
+def _level(ms: MSequence, k: int, numerator: int) -> WormholeLevel:
+    """The order-k level with a numerator the caller knows to be valid."""
+    return WormholeLevel(k, numerator, Fraction(numerator, ms.D(k)), ms)
 
 
 def level_from_numerator(ms: MSequence, k: int, numerator: int) -> WormholeLevel:
@@ -139,13 +144,7 @@ def level_from_numerator(ms: MSequence, k: int, numerator: int) -> WormholeLevel
         raise ValueError(f"numerator {numerator} outside 1..{den - 1}")
     if numerator % ms.entry(k) == 0:
         raise ValueError(f"numerator {numerator} is a multiple of m_{k}")
-    digits = []
-    rem = numerator
-    for j in range(1, k + 1):
-        weight = den // ms.D(j)
-        digits.append(rem // weight)
-        rem %= weight
-    return WormholeLevel(k, numerator, Fraction(numerator, den), tuple(digits))
+    return _level(ms, k, numerator)
 
 
 def omega_value(ms: MSequence, digits) -> WormholeLevel:
@@ -153,24 +152,24 @@ def omega_value(ms: MSequence, digits) -> WormholeLevel:
     digits = tuple(int(d) for d in digits)
     if not digits:
         raise ValueError("at least one digit required")
-    k = len(digits)
+    numerator = 0
     for j, d in enumerate(digits, start=1):
-        if not 0 <= d < ms.entry(j):
-            raise ValueError(f"digit {d} at position {j} outside 0..{ms.entry(j) - 1}")
+        radix = ms.entry(j)
+        if not 0 <= d < radix:
+            raise ValueError(f"digit {d} at position {j} outside 0..{radix - 1}")
+        numerator = numerator * radix + d
     if digits[-1] == 0:
         raise ValueError("last digit must be nonzero")
-    den = ms.D(k)
-    numerator = sum(d * (den // ms.D(j)) for j, d in enumerate(digits, start=1))
-    return WormholeLevel(k, numerator, Fraction(numerator, den), digits)
+    return _level(ms, len(digits), numerator)
 
 
 def classify_height(ms: MSequence, y) -> Optional[WormholeLevel]:
     """Decode a height into its unique level, or None.
 
     A height is a level of order k exactly when y*D_k is an integer for the
-    minimal such k (the minimality forces the non-multiple condition).  The
-    search is cut off early when the reduced denominator contains a prime
-    that no future entry can supply.
+    minimal such k (the minimality forces the non-multiple condition).  A
+    height whose reduced denominator no D_k is a multiple of is rejected
+    before the search.
     """
     y = Fraction(y)
     if not 0 < y < 1:
@@ -179,47 +178,47 @@ def classify_height(ms: MSequence, y) -> Optional[WormholeLevel]:
     n = ms.n
     if _strip(q, n * (n + 1)) != 1:
         return None
+    if ms.scale.is_integer:
+        # every entry past the override is n, so q divides some D_k exactly
+        # when the part of q outside D_L (L the override length) divides a
+        # power of n
+        if _strip(q // gcd(q, ms.D(len(ms.override))), n) != 1:
+            return None
+    # The search ends: at an integer scale by the test above, and at a
+    # non-integer scale because the sandwich bound forces both n and n+1 to
+    # recur, so every prime power of n(n+1) eventually divides D_k.
     k = 0
     while True:
         k += 1
         den = ms.D(k)
         if den % q == 0:
-            return level_from_numerator(ms, k, int(y * den))
-        if ms.scale.is_integer and k >= len(ms.override):
-            # the greedy tail is the constant n here, so the residual part of
-            # the denominator must divide a power of n
-            if _strip(q // gcd(q, den), n) != 1:
-                return None
-        if k > 100_000:  # unreachable; guards against a termination bug
-            raise RuntimeError(f"level decoding did not settle for {y}")
+            return _level(ms, k, y.numerator * (den // q))
+
+
+def _snap(ms: MSequence, k: int, y: Fraction, up: bool) -> Optional[WormholeLevel]:
+    """The least order-k level at or above y (up), or the greatest at or below it."""
+    den = ms.D(k)
+    if up:
+        numerator = max(1, -(-y.numerator * den // y.denominator))
+    else:
+        numerator = min(den - 1, y.numerator * den // y.denominator)
+    if numerator % ms.entry(k) == 0:
+        numerator += 1 if up else -1
+    if not 0 < numerator < den:
+        return None
+    return _level(ms, k, numerator)
 
 
 def first_in_interval(ms: MSequence, k: int, lo, hi) -> Optional[WormholeLevel]:
     """Least order-k level inside [lo, hi], by numerator arithmetic."""
-    lo, hi = Fraction(lo), Fraction(hi)
-    if lo > hi:
-        return None
-    den = ms.D(k)
-    numerator = max(1, _ceil(lo * den))
-    if numerator % ms.entry(k) == 0:
-        numerator += 1
-    if numerator > den - 1 or Fraction(numerator, den) > hi:
-        return None
-    return level_from_numerator(ms, k, numerator)
+    level = _snap(ms, k, Fraction(lo), up=True)
+    return level if level is not None and level.value <= Fraction(hi) else None
 
 
 def last_in_interval(ms: MSequence, k: int, lo, hi) -> Optional[WormholeLevel]:
     """Greatest order-k level inside [lo, hi]."""
-    lo, hi = Fraction(lo), Fraction(hi)
-    if lo > hi:
-        return None
-    den = ms.D(k)
-    numerator = min(den - 1, _floor(hi * den))
-    if numerator % ms.entry(k) == 0:
-        numerator -= 1
-    if numerator < 1 or Fraction(numerator, den) < lo:
-        return None
-    return level_from_numerator(ms, k, numerator)
+    level = _snap(ms, k, Fraction(hi), up=False)
+    return level if level is not None and level.value >= Fraction(lo) else None
 
 
 def nearest(ms: MSequence, k: int, y, mode: str = "either") -> WormholeLevel:
@@ -229,24 +228,14 @@ def nearest(ms: MSequence, k: int, y, mode: str = "either") -> WormholeLevel:
     returns the lower level.
     """
     y = Fraction(y)
-    below = last_in_interval(ms, k, Fraction(0), y)
-    above = first_in_interval(ms, k, y, Fraction(1))
-    if mode == "below":
-        if below is None:
-            raise NoLevelFound(f"no order-{k} level at or below {y}")
-        return below
-    if mode == "above":
-        if above is None:
-            raise NoLevelFound(f"no order-{k} level at or above {y}")
-        return above
-    if mode != "either":
+    if mode not in ("below", "above", "either"):
         raise ValueError(f"unknown mode {mode!r}")
-    if below is None and above is None:
-        raise NoLevelFound(f"no order-{k} levels exist")  # cannot happen: J_k is nonempty
-    if below is None:
-        return above
-    if above is None:
-        return below
+    below = None if mode == "above" else _snap(ms, k, y, up=False)
+    above = None if mode == "below" else _snap(ms, k, y, up=True)
+    if below is None or above is None:
+        if below is None and above is None:  # only in "below" or "above" mode
+            raise NoLevelFound(f"no order-{k} level at or {mode} {y}")
+        return below or above
     return below if y - below.value <= above.value - y else above
 
 
@@ -268,22 +257,18 @@ def nested_between(ms: MSequence, w1: WormholeLevel, w2: WormholeLevel, order: i
     grid = ms.D(big)
     steps = int(upper.value * grid)  # integral: D(big) is a multiple of both denominators
     numerator = (steps - 1) * (ms.D(order) // grid) + 1
-    level = level_from_numerator(ms, order, numerator)
+    level = _level(ms, order, numerator)
     assert lower.value < level.value < upper.value
     return level
 
 
 def levels_in_range(ms: MSequence, k: int, lo, hi) -> Iterator[WormholeLevel]:
     """All order-k levels inside [lo, hi], ascending."""
-    lo, hi = Fraction(lo), Fraction(hi)
-    level = first_in_interval(ms, k, lo, hi)
-    den = ms.D(k)
+    first = first_in_interval(ms, k, lo, hi)
+    if first is None:
+        return
+    last = last_in_interval(ms, k, lo, hi)
     m_k = ms.entry(k)
-    while level is not None:
-        yield level
-        numerator = level.numerator + 1
-        if numerator % m_k == 0:
-            numerator += 1
-        if numerator > den - 1 or Fraction(numerator, den) > hi:
-            return
-        level = level_from_numerator(ms, k, numerator)
+    for numerator in range(first.numerator, last.numerator + 1):
+        if numerator % m_k:
+            yield _level(ms, k, numerator)

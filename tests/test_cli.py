@@ -31,6 +31,19 @@ class TestGlobalOptions:
         result = invoke(runner, "-s", "x3", "space-info")
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("args", [
+        ("-s", "2", "space-info"),
+        ("-q", "5/2", "space-info"),
+        ("-s", "3", "wormholes", "--order", "0"),
+        ("-s", "3", "space-info", "--entries", "-1"),
+        ("-s", "3", "matrix", "--prefix-len", "-1"),
+        ("-s", "3", "oracle-check", "--depth", "0"),
+        ("-s", "3", "oracle-export", "--depth", "1", "--extra-height", "3/2"),
+    ])
+    def test_out_of_range_input_exits_2(self, runner, args):
+        result = invoke(runner, *args)
+        assert result.exit_code == 2
+
 
 class TestSpaceInfo:
     def test_payload(self, runner):
@@ -152,6 +165,11 @@ class TestOracleCommands:
         assert payload["max_discrepancy"] == "0"
         assert payload["samples"] == 30
         assert result.exit_code == 0
+
+    def test_check_over_vertex_budget_exits_3(self, runner):
+        result = invoke(runner, "-s", "3", "oracle-check", "--depth", "12")
+        assert result.exit_code == 3
+        assert "budget of 1000000" in result.output
 
     def test_export_edgelist(self, runner):
         result = invoke(runner, "-s", "3", "oracle-export", "--depth", "1")

@@ -44,6 +44,22 @@ class TestBuild:
         with pytest.raises(ResourceLimit):
             build(s3, 10, max_vertices=1000)
 
+    def test_vertex_budget_checked_before_the_grid(self, s3, monkeypatch):
+        # 2**20 columns by 3**20 + 1 grid rows: building the grid first would
+        # not finish, so any grid height made fails the test at once
+        def no_heights(*args):
+            raise AssertionError("grid built before the budget check")
+
+        monkeypatch.setattr("laakso.oracle.Fraction", no_heights)
+        with pytest.raises(ResourceLimit, match="budget of 1000$"):
+            build(s3, 20, max_vertices=1000)
+
+    def test_height_index_built_once(self, s3):
+        graph = build(s3, 2, extra_heights=[Fraction(1, 5)])
+        assert graph.height_index is graph.height_index
+        assert [graph.height_index[h] for h in graph.heights] == list(range(len(graph.heights)))
+        assert graph == build(s3, 2, extra_heights=[Fraction(1, 5)])
+
 
 class TestGraphDistance:
     def test_worked_example(self, s3):

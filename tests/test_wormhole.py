@@ -1,9 +1,12 @@
+import bisect
+import functools
 import itertools
 import random
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from laakso import (
     InfeasibleSequence,
@@ -38,6 +41,32 @@ def brute_levels(ms: MSequence, k: int) -> list[Fraction]:
     """Independent enumeration of the order-k level set."""
     den = ms.D(k)
     return [Fraction(n, den) for n in range(1, den) if n % ms.entry(k) != 0]
+
+
+#: Sequences for the property tests: constant, mixed, irrational-scale and
+#: overridden branching.
+LEVEL_SPACES = {
+    "s3": MSequence(ScaleFactor.from_ratio(3)),
+    "s72": MSequence(ScaleFactor.from_ratio(Fraction(7, 2))),
+    "q13": MSequence(ScaleFactor.from_dimension(Fraction(13, 10))),
+    "s3-433": MSequence(ScaleFactor.from_ratio(3), override=(4, 3, 3)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def sorted_levels(name: str, k: int) -> list[Fraction]:
+    return brute_levels(LEVEL_SPACES[name], k)
+
+
+@st.composite
+def heights(draw, ms: MSequence):
+    """The bounds 0 and 1, grid points of orders 1-6, and arbitrary fractions."""
+    den = ms.D(draw(st.integers(1, 6)))
+    return draw(st.one_of(
+        st.sampled_from([Fraction(0), Fraction(1)]),
+        st.integers(0, den).map(lambda j: Fraction(j, den)),
+        st.fractions(min_value=0, max_value=1, max_denominator=10_000),
+    ))
 
 
 class TestMSequence:
@@ -253,3 +282,63 @@ class TestNestedBetween:
             nested_between(s3.mseq, w1, w2, 2)  # order not above both
         with pytest.raises(ValueError):
             nested_between(s3.mseq, w1, w1, 3)  # equal values
+
+
+@pytest.mark.parametrize("name", sorted(LEVEL_SPACES))
+class TestLevelProperties:
+    """The level queries against an enumeration of the whole level set."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), k=st.integers(1, 5))
+    def test_interval_queries(self, name, data, k):
+        ms = LEVEL_SPACES[name]
+        lo, hi = data.draw(heights(ms)), data.draw(heights(ms))
+        levels = sorted_levels(name, k)
+        inside = levels[bisect.bisect_left(levels, lo):bisect.bisect_right(levels, hi)]
+        first = first_in_interval(ms, k, lo, hi)
+        last = last_in_interval(ms, k, lo, hi)
+        assert (first.value if first else None) == (inside[0] if inside else None)
+        assert (last.value if last else None) == (inside[-1] if inside else None)
+        listed = [w.value for w in itertools.islice(levels_in_range(ms, k, lo, hi), 100)]
+        assert listed == inside[:100]
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), k=st.integers(1, 5))
+    def test_nearest(self, name, data, k):
+        ms = LEVEL_SPACES[name]
+        y = data.draw(heights(ms))
+        levels = sorted_levels(name, k)
+        below_cut, above_cut = bisect.bisect_right(levels, y), bisect.bisect_left(levels, y)
+        below = levels[below_cut - 1] if below_cut else None
+        above = levels[above_cut] if above_cut < len(levels) else None
+        for mode, expected in (("below", below), ("above", above)):
+            if expected is None:
+                with pytest.raises(NoLevelFound):
+                    nearest(ms, k, y, mode)
+            else:
+                assert nearest(ms, k, y, mode).value == expected
+        best = min((v for v in (below, above) if v is not None), key=lambda v: (abs(v - y), v))
+        assert nearest(ms, k, y).value == best
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), k=st.integers(1, 5))
+    def test_decode_and_digits_round_trip(self, name, data, k):
+        ms = LEVEL_SPACES[name]
+        levels = sorted_levels(name, k)
+        value = levels[data.draw(st.integers(0, len(levels) - 1))]
+        level = first_in_interval(ms, k, value, value)
+        assert (level.order, level.value) == (k, value)
+        assert classify_height(ms, level.value) == level
+        assert omega_value(ms, level.digits) == level
+        assert len(level.digits) == k and level.digits[-1] != 0
+
+
+class TestDeepLevels:
+    def test_order_1000_decodes(self, s3):
+        level = omega_value(s3.mseq, (1,) * 999 + (2,))
+        decoded = classify_height(s3.mseq, level.value)
+        assert decoded == level and decoded.order == 1000
+        assert decoded.digits == level.digits
+
+    def test_foreign_factor_decodes_to_none(self, s3):
+        assert classify_height(s3.mseq, Fraction(1, 2 * 3 ** 1000)) is None
