@@ -8,6 +8,7 @@ independent brute-force graph oracle for verification.
 
 from .errors import (
     InfeasibleSequence,
+    InvariantViolation,
     NoLevelFound,
     NotRepresentable,
     ParseError,
@@ -56,6 +57,7 @@ __all__ = [
     "DifferenceOrders",
     "InfeasibleSequence",
     "Interval",
+    "InvariantViolation",
     "Jump",
     "MSequence",
     "MinimalInterval",

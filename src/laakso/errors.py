@@ -32,3 +32,7 @@ class NotRepresentable(ValueError):
 
 class ResourceLimit(RuntimeError):
     """A construction would exceed its configured size budget."""
+
+
+class InvariantViolation(RuntimeError):
+    """An internal invariant of a construction failed: a library bug, not bad input."""

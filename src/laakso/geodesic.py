@@ -19,8 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Union
 
+from .errors import InvariantViolation
 from .fractal import Address, DifferenceOrders, difference_orders
 from .numeric import Interval
 from .space import Point, Space
@@ -47,10 +49,6 @@ class Segment:
     address: Address
     h_start: Fraction
     h_end: Fraction
-
-    @property
-    def length(self) -> Fraction:
-        return abs(self.h_end - self.h_start)
 
     @property
     def direction(self) -> int:
@@ -154,7 +152,8 @@ def minimal_interval(space: Space, x: Point, y: Point) -> MinimalInterval:
             if above is not None:
                 grown.append((a, above.value, {**witnesses, order: above}))
         candidates = grown
-    assert candidates, "a required order had no level on either side"
+    if not candidates:
+        raise InvariantViolation("a required order had no level on either side")
     a, b, witnesses = min(candidates, key=lambda t: (t[1] - t[0], t[1]))
     return MinimalInterval(a, b, tuple(sorted(witnesses.items())))
 
@@ -217,7 +216,8 @@ def _sweep_levels(space: Space, lo: Fraction, hi: Fraction, diffs: DifferenceOrd
         level = first_in_interval(ms, order, current, hi)
         if level is None:
             level = last_in_interval(ms, order, lo, current)
-            assert level is not None, "minimal interval misses a required order"
+            if level is None:
+                raise InvariantViolation("minimal interval misses a required order")
         else:
             current = level.value
         placed.append(level)
@@ -234,7 +234,7 @@ def _sweep_levels(space: Space, lo: Fraction, hi: Fraction, diffs: DifferenceOrd
         elif current + rest <= hi:
             omega = current + rest
         elif count > depth + 512:
-            raise RuntimeError("sweep did not stabilise")  # unreachable
+            raise InvariantViolation("sweep did not stabilise")  # unreachable
         if omega is not None:
             break
     placed.sort(key=lambda w: w.value)
@@ -372,7 +372,8 @@ def geodesic_path(space: Space, x: Point, y: Point, depth: int = 8) -> PathRep:
             address = _jump(moves, address, h, level)
             h = level.value
     _append_segment(moves, address, h, high.height)
-    assert address == high.address
+    if address != high.address:
+        raise InvariantViolation("geodesic ends at the wrong address")
     if low is not x:
         moves = [_flip(move) for move in reversed(moves)]
     return _assemble(x, y, moves)
@@ -452,12 +453,24 @@ def connect(space: Space, x: Point, y: Point, strategy: str = NEAREST, depth: in
         h = omega if isinstance(omega, Fraction) else None
         break
     _append_segment(moves, address, h, y.height)
-    assert address == end_address
+    if address != end_address:
+        raise InvariantViolation("path ends at the wrong address")
     return _assemble(x, y, moves)
 
 
 # ---------------------------------------------------------------------------
 # measurements over paths
+
+
+def _run_length(heights: list[Fraction]) -> Fraction:
+    """Sum of |h[i+1] - h[i]|, taken in integers over one common denominator."""
+    dens = sorted({h.denominator for h in heights}, reverse=True)
+    common = dens[0]
+    for den in dens[1:]:
+        if common % den:  # level denominators D_k divide the deepest one
+            common = lcm(common, den)
+    scaled = [h.numerator * (common // h.denominator) for h in heights]
+    return Fraction(sum(abs(b - a) for a, b in zip(scaled, scaled[1:])), common)
 
 
 def path_length(path: PathRep) -> Union[Fraction, Interval]:
@@ -468,29 +481,23 @@ def path_length(path: PathRep) -> Union[Fraction, Interval]:
     and any residual approach to the endpoint is added the same way.  The
     result is an exact Fraction whenever the limit height is exact.
     """
-    total: Union[Fraction, Interval] = Fraction(0)
-    current: Union[Fraction, Interval] = path.start.height
 
-    def walk(elements):
-        nonlocal total, current
+    def heights(elements) -> list[Fraction]:
+        out = []
         for element in elements:
             if isinstance(element, Segment):
-                total += abs(element.h_start - current)  # zero on well-formed paths
-                total += element.length
-                current = element.h_end
+                out += (element.h_start, element.h_end)
             else:
-                total += abs(element.height - current)
-                current = element.height
+                out.append(element.height)
+        return out
 
-    walk(path.items)
-    if path.tail is not None:
-        total += abs(path.tail.omega - current)
-        current = path.tail.omega
-    walk(path.post)
-    total += abs(path.end.height - current)
-    if isinstance(total, Interval) and total.lo == total.hi:
-        return total.lo
-    return total
+    before = [path.start.height, *heights(path.items)]
+    after = [*heights(path.post), path.end.height]
+    omega = path.tail.omega if path.tail is not None else None
+    if not isinstance(omega, Interval):
+        return _run_length(before + ([] if omega is None else [omega]) + after)
+    total = _run_length(before) + abs(omega - before[-1]) + abs(after[0] - omega) + _run_length(after)
+    return total.lo if total.lo == total.hi else total
 
 
 def classify(path: PathRep) -> tuple[str, tuple[str, ...]]:
@@ -512,7 +519,12 @@ def classify(path: PathRep) -> tuple[str, tuple[str, ...]]:
 
 
 def validate(path: PathRep, space: Space) -> None:
-    """Assert the chaining invariants; used by the test suite."""
+    """Check the chaining invariants, raising AssertionError (also under -O)."""
+
+    def check(condition: bool, message: str) -> None:
+        if not condition:
+            raise AssertionError(message)
+
     current_h: Union[Fraction, None] = path.start.height
     address = None
     for element in path.items + (("tail",) if path.tail else ()) + path.post:
@@ -525,19 +537,21 @@ def validate(path: PathRep, space: Space) -> None:
             continue
         if isinstance(element, Segment):
             if current_h is not None:
-                assert element.h_start == current_h, "segment does not chain"
+                check(element.h_start == current_h, "segment does not chain")
             if address is not None:
-                assert element.address == address, "segment address does not chain"
+                check(element.address == address, "segment address does not chain")
             current_h = element.h_end
             address = element.address
         else:
             if current_h is not None:
-                assert element.height == current_h, "jump height does not chain"
-            assert element.to_address == element.from_address.switch(element.level.order)
+                check(element.height == current_h, "jump height does not chain")
+            check(element.to_address == element.from_address.switch(element.level.order),
+                  "jump does not switch its order's digit")
             lvl = classify_height(space.mseq, element.height)
-            assert lvl is not None and lvl.order == element.level.order
+            check(lvl is not None and lvl.order == element.level.order,
+                  "jump height is not a level of its order")
             if address is not None:
-                assert element.from_address == address
+                check(element.from_address == address, "jump address does not chain")
             address = element.to_address
     if path.tail is None and path.items:
-        assert current_h == path.end.height
+        check(current_h == path.end.height, "path does not end at its end height")

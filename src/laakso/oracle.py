@@ -5,14 +5,20 @@ into the grid of multiples of 1/D_K (which contains every identification
 level of order up to K exactly).  Vertical edges carry the exact height
 difference, identification edges carry weight zero.  Shortest paths on this
 graph give an independent check of the closed-form distance.
+
+Every grid and extra height is a multiple of 1/L, where L is the least
+common multiple of the height denominators, so Dijkstra runs on exact
+integers in units of 1/L; distances become Fractions only when read.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, Optional
 
 from .errors import NotRepresentable, ResourceLimit
@@ -28,7 +34,9 @@ class ApproxGraph:
     Vertices are (column, height-index) pairs, columns being the 2**K
     length-K digit strings encoded as bit masks (bit j-1 = digit j).  Edges
     are implicit: vertical neighbours plus, at a height identified at order
-    k <= K, the column with digit k flipped at weight zero.
+    k <= K, the column with digit k flipped at weight zero.  Built once with
+    the graph: ``scale`` = L, ``units[i]`` = heights[i] * L as an integer,
+    and ``flips[i]``, the column bit flipped at row i (0 for none).
     """
 
     space: Space
@@ -36,9 +44,20 @@ class ApproxGraph:
     heights: tuple[Fraction, ...]
     orders: tuple[Optional[int], ...]
     height_index: dict[Fraction, int] = field(init=False, compare=False, repr=False)
+    scale: int = field(init=False, compare=False, repr=False)
+    units: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    flips: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "height_index", {h: i for i, h in enumerate(self.heights)})
+        scale = lcm(*(h.denominator for h in self.heights))
+        fields = {
+            "height_index": {h: i for i, h in enumerate(self.heights)},
+            "scale": scale,
+            "units": tuple(h.numerator * (scale // h.denominator) for h in self.heights),
+            "flips": tuple(0 if k is None else 1 << (k - 1) for k in self.orders),
+        }
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     @property
     def vertex_count(self) -> int:
@@ -79,17 +98,6 @@ def _column(graph: ApproxGraph, address: Address) -> int:
     return mask
 
 
-def _neighbors(graph: ApproxGraph, column: int, hidx: int):
-    heights = graph.heights
-    if hidx > 0:
-        yield column, hidx - 1, heights[hidx] - heights[hidx - 1]
-    if hidx + 1 < len(heights):
-        yield column, hidx + 1, heights[hidx + 1] - heights[hidx]
-    order = graph.orders[hidx]
-    if order is not None:
-        yield column ^ (1 << (order - 1)), hidx, Fraction(0)
-
-
 def _vertex(graph: ApproxGraph, p: Point) -> tuple[int, int]:
     index = graph.height_index.get(p.height)
     if index is None:
@@ -114,27 +122,81 @@ def graph_distance(graph: ApproxGraph, x: Point, y: Point) -> Fraction:
     return dist[target]
 
 
+class Distances(Mapping):
+    """Exact distances from one source, keyed by (column, height index).
+
+    Holds the settled vertices only, each at its shortest distance.  Values
+    are stored as integers in units of 1/L and become Fractions on lookup;
+    a vertex not settled raises KeyError.
+    """
+
+    __slots__ = ("_rows", "_scale", "_dist", "_done")
+
+    def __init__(self, rows: int, scale: int, dist: list[int], done: bytearray):
+        self._rows, self._scale, self._dist, self._done = rows, scale, dist, done
+
+    def _flat(self, vertex) -> int:
+        column, hidx = vertex
+        v = column * self._rows + hidx
+        if not (0 <= hidx < self._rows and 0 <= v < len(self._done) and self._done[v]):
+            raise KeyError(vertex)
+        return v
+
+    def __getitem__(self, vertex) -> Fraction:
+        return Fraction(self._dist[self._flat(vertex)], self._scale)
+
+    def __len__(self) -> int:
+        return len(self._done) - self._done.count(0)
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        for v, settled in enumerate(self._done):
+            if settled:
+                yield divmod(v, self._rows)
+
+
 def shortest_paths(graph: ApproxGraph, source: tuple[int, int],
-                   target: Optional[tuple[int, int]] = None) -> dict:
-    """Dijkstra with exact Fraction keys (weights are nonnegative)."""
-    dist: dict[tuple[int, int], Fraction] = {source: Fraction(0)}
-    done: set[tuple[int, int]] = set()
-    heap: list[tuple[Fraction, int, int]] = [(Fraction(0), *source)]
+                   target: Optional[tuple[int, int]] = None) -> Distances:
+    """Dijkstra on integer weights in units of 1/L (weights are nonnegative).
+
+    Vertex (column, hidx) is the flat index column * rows + hidx.  With a
+    target the search stops once the target is settled.
+    """
+    rows = len(graph.heights)
+    units, flips = graph.units, graph.flips
+    size = rows << graph.depth
+    unreached = (graph.scale << graph.depth) + 1  # longer than all edges together
+    dist = [unreached] * size
+    done = bytearray(size)
+    start = source[0] * rows + source[1]
+    stop = -1 if target is None else target[0] * rows + target[1]
+    dist[start] = 0
+    heap = [(0, start)]
+    pop, push = heapq.heappop, heapq.heappush
     while heap:
-        d, column, hidx = heapq.heappop(heap)
-        vertex = (column, hidx)
-        if vertex in done:
+        d, v = pop(heap)
+        if done[v]:
             continue
-        done.add(vertex)
-        if target is not None and vertex == target:
-            return dist
-        for ncol, nh, weight in _neighbors(graph, column, hidx):
-            neighbour = (ncol, nh)
-            candidate = d + weight
-            if neighbour not in dist or candidate < dist[neighbour]:
-                dist[neighbour] = candidate
-                heapq.heappush(heap, (candidate, ncol, nh))
-    return dist
+        done[v] = 1
+        if v == stop:
+            break
+        column, hidx = divmod(v, rows)
+        if hidx > 0:
+            u, nd = v - 1, d + units[hidx] - units[hidx - 1]
+            if nd < dist[u]:
+                dist[u] = nd
+                push(heap, (nd, u))
+        if hidx + 1 < rows:
+            u, nd = v + 1, d + units[hidx + 1] - units[hidx]
+            if nd < dist[u]:
+                dist[u] = nd
+                push(heap, (nd, u))
+        bit = flips[hidx]
+        if bit:
+            u = v - bit * rows if column & bit else v + bit * rows
+            if d < dist[u]:
+                dist[u] = d
+                push(heap, (d, u))
+    return Distances(rows, graph.scale, dist, done)
 
 
 def vertex_label(graph: ApproxGraph, column: int, hidx: int) -> str:

@@ -12,10 +12,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import ParseError
+from .errors import ParseError, ResourceLimit
 from .fractal import Address, format_address, parse_address, value
 from .numeric import Interval, ScaleFactor
-from .wormhole import MSequence, WormholeLevel, classify_height, levels_in_range
+from .wormhole import MSequence, WormholeLevel, classify_height, level_count, levels_in_range
+
+#: Most levels ``Space.wormholes`` lists; at s = 3, order 11 has 118 100.
+MAX_LISTED_LEVELS = 200_000
 
 
 @dataclass(frozen=True)
@@ -110,6 +113,12 @@ class Space:
         return classify_height(self.mseq, height)
 
     def wormholes(self, order: int, lo=0, hi=1) -> list[WormholeLevel]:
+        """The order-k levels inside [lo, hi], ascending, at most MAX_LISTED_LEVELS."""
+        if level_count(self.mseq, order, lo, hi) > MAX_LISTED_LEVELS:
+            # the count itself is not printed: at high orders it has thousands of digits
+            raise ResourceLimit(
+                f"more than {MAX_LISTED_LEVELS} order-{order} levels: over the listing budget"
+            )
         return list(levels_in_range(self.mseq, order, lo, hi))
 
     # -- metric facade (implemented in the geodesic module) ---------------

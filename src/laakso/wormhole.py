@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterator, Optional
 
-from .errors import InfeasibleSequence, NoLevelFound
+from .errors import InfeasibleSequence, InvariantViolation, NoLevelFound
 from .numeric import ScaleFactor
 
 
@@ -258,8 +258,21 @@ def nested_between(ms: MSequence, w1: WormholeLevel, w2: WormholeLevel, order: i
     steps = int(upper.value * grid)  # integral: D(big) is a multiple of both denominators
     numerator = (steps - 1) * (ms.D(order) // grid) + 1
     level = _level(ms, order, numerator)
-    assert lower.value < level.value < upper.value
+    if not lower.value < level.value < upper.value:
+        raise InvariantViolation(f"order-{order} level {level.value} outside the gap")
     return level
+
+
+def level_count(ms: MSequence, k: int, lo, hi) -> int:
+    """How many order-k levels lie inside [lo, hi], counted without listing them."""
+    first = first_in_interval(ms, k, lo, hi)
+    if first is None:
+        return 0
+    last = last_in_interval(ms, k, lo, hi).numerator
+    m_k = ms.entry(k)
+    # the numerators first..last less the multiples of m_k among them
+    # (first is not a multiple, so first // m_k counts those below it)
+    return last - first.numerator + 1 - (last // m_k - first.numerator // m_k)
 
 
 def levels_in_range(ms: MSequence, k: int, lo, hi) -> Iterator[WormholeLevel]:

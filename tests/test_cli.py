@@ -1,8 +1,10 @@
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
 
+from laakso import InvariantViolation
 from laakso.cli import main
 
 
@@ -26,6 +28,15 @@ class TestGlobalOptions:
         result = invoke(runner, "-s", "3", "--m-override", "3,4,4", "space-info")
         assert result.exit_code == 3
         assert "entry 3" in result.output
+
+    def test_broken_invariant_exits_3(self, runner, monkeypatch):
+        def broken(*args):
+            raise InvariantViolation("a required order had no level on either side")
+
+        monkeypatch.setattr("laakso.geodesic.minimal_interval", broken)
+        result = invoke(runner, "-s", "3", "geodesic", "(0)@1/5", "101(0)@1/10")
+        assert result.exit_code == 3
+        assert "no level on either side" in result.output
 
     def test_bad_fraction_exits_2(self, runner):
         result = invoke(runner, "-s", "x3", "space-info")
@@ -70,6 +81,17 @@ class TestWormholes:
     def test_range_restriction(self, runner):
         result = invoke(runner, "-s", "3", "wormholes", "--order", "3", "--from", "1/10", "--to", "1/3")
         assert json.loads(result.output) == ["4/27", "5/27", "7/27", "8/27"]
+
+    def test_order_nine_lists_every_level(self, runner):
+        result = invoke(runner, "-s", "3", "wormholes", "--order", "9")
+        assert len(result.output.splitlines()) == 13_124  # 13 122 levels and the brackets
+
+    def test_listing_over_budget_exits_3(self, runner):
+        started = time.monotonic()
+        result = invoke(runner, "-s", "3", "wormholes", "--order", "30")
+        assert result.exit_code == 3
+        assert "over the listing budget" in result.output
+        assert time.monotonic() - started < 1
 
 
 class TestDistance:

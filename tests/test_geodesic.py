@@ -1,10 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from laakso import (
     Interval,
+    Jump,
     Segment,
     classify,
     connect,
@@ -331,3 +335,54 @@ class TestOtherScales:
         assert length.contains(d)
         top = minimal_interval(sp, x, y).b
         assert any(j.level.value == top for j in path.jumps())
+
+
+def _stepwise_length(path):
+    """path_length as a running Fraction (or Interval) sum, one move at a time."""
+    total, current = Fraction(0), path.start.height
+    for move in path.items + ((path.tail.omega,) if path.tail else ()) + path.post:
+        if isinstance(move, Segment):
+            total += abs(move.h_start - current) + abs(move.h_end - move.h_start)
+            current = move.h_end
+        else:
+            height = move.height if isinstance(move, Jump) else move
+            total += abs(height - current)
+            current = height
+    total += abs(path.end.height - current)
+    return total.lo if isinstance(total, Interval) and total.lo == total.hi else total
+
+
+@pytest.mark.parametrize("name", ["s3", "s72", "q13"])
+def test_path_length_matches_stepwise_sum(request, name):
+    space = request.getfixturevalue(name)
+    rng = random.Random(71)
+    enclosures = 0
+    for _ in range(30):
+        x, y = random_point(space, rng), random_point(space, rng)
+        if x == y:
+            continue
+        for path in (geodesic_path(space, x, y, 6), connect(space, x, y, "increasing", 6)):
+            length = path_length(path)
+            assert length == _stepwise_length(path)
+            enclosures += isinstance(length, Interval)
+    assert enclosures or name == "s3"
+
+
+def test_validate_checks_survive_optimisation():
+    script = (
+        "from fractions import Fraction\n"
+        "from laakso import Space, Segment, geodesic_path\n"
+        "from laakso.geodesic import PathRep, validate\n"
+        "s3 = Space.from_ratio(3)\n"
+        "x, y = s3.parse_point('(0)@1/5'), s3.parse_point('101(0)@1/10')\n"
+        "path = geodesic_path(s3, x, y)\n"
+        "broken = PathRep(x, y, (Segment(x.address, Fraction(0), Fraction(1)),) + path.items[1:])\n"
+        "try:\n"
+        "    validate(broken, s3)\n"
+        "except AssertionError as exc:\n"
+        "    print('caught', exc)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    result = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                            env=env, timeout=60)
+    assert result.stdout.startswith("caught"), result.stderr

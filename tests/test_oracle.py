@@ -1,9 +1,10 @@
+import heapq
 import random
 from fractions import Fraction
 
 import pytest
 
-from laakso import NotRepresentable, ResourceLimit, distance
+from laakso import NotRepresentable, ResourceLimit, Space, distance
 from laakso.oracle import (
     agreement_check,
     build,
@@ -11,6 +12,7 @@ from laakso.oracle import (
     iter_edges,
     point_at,
     shortest_paths,
+    vertex_label,
     _vertex,
 )
 
@@ -53,6 +55,12 @@ class TestBuild:
         monkeypatch.setattr("laakso.oracle.Fraction", no_heights)
         with pytest.raises(ResourceLimit, match="budget of 1000$"):
             build(s3, 20, max_vertices=1000)
+
+    def test_integer_units(self, s3):
+        graph = build(s3, 2, extra_heights=[Fraction(1, 5)])
+        assert graph.scale == 45
+        assert [Fraction(u, graph.scale) for u in graph.units] == list(graph.heights)
+        assert graph.flips == tuple(0 if k is None else 1 << (k - 1) for k in graph.orders)
 
     def test_height_index_built_once(self, s3):
         graph = build(s3, 2, extra_heights=[Fraction(1, 5)])
@@ -166,3 +174,89 @@ class TestAgreement:
         assert space.mseq.D(2) == 12
         checked, worst = agreement_check(space, 2, samples=40, seed=7)
         assert checked == 40 and worst == 0
+
+
+def _reference_distances(graph, source) -> dict:
+    """Fraction-keyed Dijkstra over the exported edge list."""
+    adjacent: dict[str, list] = {}
+    for u, v, w in iter_edges(graph):
+        adjacent.setdefault(u, []).append((v, w))
+        adjacent.setdefault(v, []).append((u, w))
+    start = vertex_label(graph, *source)
+    dist = {start: Fraction(0)}
+    heap = [(Fraction(0), start)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        for v, w in adjacent[u]:
+            if v not in dist or d + w < dist[v]:
+                dist[v] = d + w
+                heapq.heappush(heap, (d + w, v))
+    return dist
+
+
+class TestShortestPaths:
+    @pytest.mark.parametrize("name,depth,extras", [
+        ("s3", 2, [Fraction(1, 5), Fraction(1, 10)]),
+        ("s72", 2, [Fraction(3, 7)]),
+        ("q13", 1, [Fraction(1, 3)]),
+    ])
+    def test_matches_fraction_reference(self, request, name, depth, extras):
+        graph = build(request.getfixturevalue(name), depth, extra_heights=extras)
+        rows = len(graph.heights)
+        for column, hidx in [(0, 0), ((1 << depth) - 1, rows // 2), (1, rows - 1)]:
+            dist = shortest_paths(graph, (column, hidx))
+            expected = _reference_distances(graph, (column, hidx))
+            assert {vertex_label(graph, *v): d for v, d in dist.items()} == expected
+
+    def test_mapping_view(self, s3):
+        graph = build(s3, 3, extra_heights=[Fraction(1, 5)])
+        rows = len(graph.heights)
+        dist = shortest_paths(graph, (0, 0))
+        assert len(dist) == graph.vertex_count == len(list(dist))
+        assert all(type(d) is Fraction for d in dist.values())
+        assert dist[(0, rows - 1)] == 1
+        for outside in [(8, 0), (0, rows), (-1, 0), (0, -1)]:
+            with pytest.raises(KeyError):
+                dist[outside]
+
+    def test_early_exit_agrees_with_full_run(self, s72):
+        graph = build(s72, 4)
+        rng = random.Random(61)
+        rows = len(graph.heights)
+        for _ in range(20):
+            source = (rng.randrange(16), rng.randrange(rows))
+            target = (rng.randrange(16), rng.randrange(rows))
+            full = shortest_paths(graph, source)
+            early = shortest_paths(graph, source, target)
+            assert early[target] == full[target]
+            assert len(early) <= len(full) == graph.vertex_count
+            assert all(early[v] == full[v] for v in early)
+
+    def test_early_exit_leaves_far_vertices_unsettled(self, s3):
+        graph = build(s3, 3)
+        early = shortest_paths(graph, (0, 0), (0, 1))
+        assert early[(0, 1)] == Fraction(1, 27)
+        assert len(early) < graph.vertex_count
+        with pytest.raises(KeyError):
+            early[(0, len(graph.heights) - 1)]
+
+
+@pytest.fixture(scope="module")
+def s3_433():
+    return Space.from_ratio(3, m_override=(4, 3, 3))
+
+
+class TestWiderAgreement:
+    @pytest.mark.parametrize("name,depth,vertices", [
+        ("s72", 5, 18_464),
+        ("s4", 5, 32_800),  # Q = 3/2
+        ("s3_433", 5, 10_400),
+        ("q13", 3, 8_008),
+    ])
+    def test_random_pairs(self, request, name, depth, vertices):
+        space = request.getfixturevalue(name)
+        assert build(space, depth).vertex_count == vertices
+        checked, worst = agreement_check(space, depth, samples=100, seed=29)
+        assert checked == 100 and worst == 0
