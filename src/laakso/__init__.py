@@ -18,11 +18,9 @@ from .errors import (
 from .fractal import (
     Address,
     DifferenceOrders,
-    cell_interval,
     difference_orders,
     format_address,
     parse_address,
-    same_asymptotic,
     value,
 )
 from .geodesic import (
@@ -38,7 +36,7 @@ from .geodesic import (
     minimal_interval,
     path_length,
 )
-from .numeric import Interval, Rational, ScaleFactor, iroot
+from .numeric import Interval, ScaleFactor, iroot
 from .space import Point, Space
 from .wormhole import (
     MSequence,
@@ -48,7 +46,6 @@ from .wormhole import (
     last_in_interval,
     levels_in_range,
     nearest,
-    nested_between,
     omega_value,
 )
 
@@ -67,14 +64,12 @@ __all__ = [
     "PathRep",
     "Point",
     "PrecisionExhausted",
-    "Rational",
     "ResourceLimit",
     "ScaleFactor",
     "Segment",
     "Space",
     "Tail",
     "WormholeLevel",
-    "cell_interval",
     "classify",
     "classify_height",
     "connect",
@@ -88,11 +83,9 @@ __all__ = [
     "levels_in_range",
     "minimal_interval",
     "nearest",
-    "nested_between",
     "omega_value",
     "parse_address",
     "path_length",
-    "same_asymptotic",
     "value",
 ]
 

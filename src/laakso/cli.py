@@ -2,8 +2,9 @@
 
 Every fraction is emitted as an exact "p/q" string, never a float.  Exit
 codes: 0 on success, 2 on any parse/usage error, 3 on an infeasible
-branching override, an exhausted precision budget, a level listing or an
-oracle graph over its budget, or a broken internal invariant.
+branching override, an exhausted precision budget, a level listing, an
+oracle graph or a printed D_k over its budget, or a broken internal
+invariant.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import (
     ResourceLimit,
 )
 from .fractal import Address, format_address
-from .geodesic import PathRep, classify, connect, geodesic_path, path_length
+from .geodesic import PathRep, classify, connect, distance, geodesic_path, minimal_interval, path_length
 from .numeric import Interval
 from .render import path_svg
 from .space import Space
@@ -134,13 +135,17 @@ def main(ctx, s, q, m_override, seed):
 def space_info(cfg, entries):
     """Print n, the first branching entries and their product."""
     sp = cfg.space
+    product = sp.mseq.D(entries)
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if digits and product >= 10 ** digits:
+        raise ResourceLimit(f"D_{entries} has more than {digits} digits: over the int-to-str limit")
     _emit(
         {
             "scale": str(sp.scale),
             "dimension": str(sp.dimension) if sp.dimension is not None else None,
             "n": sp.n,
             "m": [sp.mseq.entry(i) for i in range(1, entries + 1)],
-            "D": str(sp.mseq.D(entries)),
+            "D": str(product),
         }
     )
 
@@ -169,7 +174,7 @@ def distance_cmd(cfg, x, y):
     if px == py:
         _emit({"distance": "0", "interval": None})
         return
-    interval = sp.minimal_interval(px, py)
+    interval = minimal_interval(sp, px, py)
     _emit(
         {
             "distance": str(interval.length_between(px, py)),
@@ -181,7 +186,7 @@ def distance_cmd(cfg, x, y):
 @main.command("geodesic")
 @click.argument("x")
 @click.argument("y")
-@click.option("--depth", type=int, default=8, show_default=True, help="Jumps to materialize before truncating.")
+@click.option("--depth", type=click.IntRange(min=1), default=8, show_default=True, help="Jumps to materialize before truncating.")
 @click.option("--svg", "svg_out", type=click.Path(dir_okay=False), default=None, help="Also write an SVG figure.")
 @click.pass_obj
 @_guarded
@@ -192,7 +197,7 @@ def geodesic_cmd(cfg, x, y, depth, svg_out):
     if px == py:
         _emit({"distance": "0", "interval": None, "path": None})
         return
-    interval = sp.minimal_interval(px, py)
+    interval = minimal_interval(sp, px, py)
     path = geodesic_path(sp, px, py, depth)
     if svg_out:
         with open(svg_out, "w") as handle:
@@ -210,7 +215,7 @@ def geodesic_cmd(cfg, x, y, depth, svg_out):
 @click.argument("x")
 @click.argument("y")
 @click.option("--strategy", type=click.Choice(["nearest", "increasing"]), default="nearest", show_default=True)
-@click.option("--depth", type=int, default=8, show_default=True)
+@click.option("--depth", type=click.IntRange(min=1), default=8, show_default=True)
 @click.pass_obj
 @_guarded
 def path_cmd(cfg, x, y, strategy, depth):
@@ -222,7 +227,7 @@ def path_cmd(cfg, x, y, strategy, depth):
 
 
 @main.command("matrix")
-@click.option("--count", type=int, default=8, show_default=True, help="Number of sampled points.")
+@click.option("--count", type=click.IntRange(min=0), default=8, show_default=True, help="Number of sampled points.")
 @click.option("--prefix-len", type=click.IntRange(min=0), default=4, show_default=True, help="Maximum address prefix length.")
 @click.pass_obj
 @_guarded
@@ -246,18 +251,18 @@ def matrix(cfg, count, prefix_len):
         if point not in seen:
             seen.add(point)
             points.append(point)
-    table = [[str(sp.distance(a, b)) for b in points] for a in points]
+    table = [[str(distance(sp, a, b)) for b in points] for a in points]
     _emit({"points": [str(p) for p in points], "matrix": table})
 
 
 @main.command("oracle-check")
 @click.option("--depth", type=click.IntRange(min=1), required=True, help="Approximation depth K.")
-@click.option("--samples", type=int, default=200, show_default=True)
+@click.option("--samples", type=click.IntRange(min=1), default=200, show_default=True)
 @click.pass_obj
 @_guarded
 def oracle_check(cfg, depth, samples):
     """Randomized agreement test: graph distance vs closed form."""
-    checked, worst = oracle_mod.agreement_check(cfg.space, depth, samples, cfg.seed)
+    checked, worst = oracle_mod.agreement_check(cfg.space, depth, samples, distance, cfg.seed)
     _emit({"depth": depth, "samples": checked, "max_discrepancy": str(worst)})
     if worst != 0:
         sys.exit(1)

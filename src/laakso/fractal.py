@@ -102,9 +102,6 @@ class DifferenceOrders:
     def is_finite(self) -> bool:
         return not self.offsets
 
-    def __bool__(self) -> bool:
-        return bool(self.head or self.offsets)
-
     def __iter__(self) -> Iterator[int]:
         yield from self.head
         if not self.offsets:
@@ -123,11 +120,6 @@ class DifferenceOrders:
             out.append(order)
         return out
 
-    def finite_orders(self) -> tuple[int, ...]:
-        if not self.is_finite:
-            raise ValueError("difference set is infinite")
-        return self.head
-
 
 def difference_orders(a: Address, b: Address) -> DifferenceOrders:
     """All positions where the expansions of a and b disagree.
@@ -142,11 +134,6 @@ def difference_orders(a: Address, b: Address) -> DifferenceOrders:
         off for off in range(period) if a.digit(start + off) != b.digit(start + off)
     )
     return DifferenceOrders(head, start, period, offsets)
-
-
-def same_asymptotic(a: Address, b: Address) -> bool:
-    """True when the two expansions agree from some position on."""
-    return difference_orders(a, b).is_finite
 
 
 def _series_value(a: Address, u):
@@ -188,14 +175,6 @@ def value(a: Address, scale: ScaleFactor, bits: int = 64) -> Union[Fraction, Int
         return _series_value(a, scale.recip_enclosure(work_bits))
 
     return refine(compute, Fraction(1, 2 ** bits), start_bits=max(64, bits + 8))
-
-
-def cell_interval(prefix, scale: ScaleFactor, bits: int = 64):
-    """Endpoints of the convex hull of the cell selected by a finite prefix."""
-    prefix = tuple(int(d) for d in prefix)
-    low = value(Address(prefix, (0,)), scale, bits)
-    high = value(Address(prefix, (1,)), scale, bits)
-    return low, high
 
 
 _ADDRESS_RE = re.compile(r"^([01]*)(?:\(([01]+)\))?$")

@@ -39,7 +39,6 @@ UPWARD, DOWNWARD, INVERSION = "upward", "downward", "inversion"
 MONOTONE_UP, MONOTONE_DOWN, OSCILLATING = "monotone-up", "monotone-down", "oscillating"
 
 NEAREST, INCREASING = "nearest", "increasing"
-_STRATEGIES = {NEAREST: NEAREST, INCREASING: INCREASING, "increasing-order": INCREASING}
 
 
 @dataclass(frozen=True)
@@ -411,10 +410,8 @@ def connect(space: Space, x: Point, y: Point, strategy: str = NEAREST, depth: in
     up).  ``increasing`` keeps the sweep monotone towards the target height
     whenever a level is available on that side.
     """
-    try:
-        strategy = _STRATEGIES[strategy]
-    except KeyError:
-        raise ValueError(f"unknown strategy {strategy!r}") from None
+    if strategy not in (NEAREST, INCREASING):
+        raise ValueError(f"unknown strategy {strategy!r}")
     if x == y:
         return PathRep(x, y, (Segment(x.address, x.height, x.height),))
     ms = space.mseq

@@ -18,12 +18,6 @@ from typing import Optional, Union
 
 from .errors import PrecisionExhausted
 
-#: All heights, distances and level values are plain `fractions.Fraction`
-#: instances, stored reduced with positive denominator by construction.
-Rational = Fraction
-
-LESS, EQUAL, GREATER = -1, 0, 1
-
 #: Bit ceiling for certified enclosure refinement.
 MAX_BITS = 4096
 
@@ -220,17 +214,6 @@ class ScaleFactor:
         lo = iroot(2 ** exponent, b)
         scale = Fraction(1, 2 ** bits)
         if lo ** b == 2 ** exponent:
-            return Interval(lo * scale, lo * scale)
-        return Interval(lo * scale, (lo + 1) * scale)
-
-    def enclosure(self, bits: int) -> Interval:
-        """Certified enclosure of s itself with width at most 2**-bits."""
-        if self.ratio is not None:
-            return Interval(self.ratio, self.ratio)
-        a, b = self.log2.numerator, self.log2.denominator
-        lo = iroot(2 ** (bits * b + a), b)
-        scale = Fraction(1, 2 ** bits)
-        if lo ** b == 2 ** (bits * b + a):
             return Interval(lo * scale, lo * scale)
         return Interval(lo * scale, (lo + 1) * scale)
 

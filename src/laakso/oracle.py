@@ -19,7 +19,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .errors import NotRepresentable, ResourceLimit
 from .fractal import Address, difference_orders
@@ -233,15 +233,17 @@ def point_at(graph: ApproxGraph, column: int, hidx: int) -> Point:
     return graph.space.point(Address(digits, (0,)), graph.heights[hidx])
 
 
-def agreement_check(space: Space, depth: int, samples: int, seed: int = 0,
-                    extra_heights=()) -> tuple[int, Fraction]:
+def agreement_check(space: Space, depth: int, samples: int,
+                    closed_form: Callable[[Space, Point, Point], Fraction],
+                    seed: int = 0) -> tuple[int, Fraction]:
     """Compare graph and closed-form distances on random representable pairs.
 
     Returns (pairs checked, max |difference|); the maximum must be zero.
     Pairs are grouped by source so one shortest-path run serves several
-    targets.
+    targets.  The caller passes the closed form as ``closed_form(space, x,
+    y)``, so the oracle never imports the code it checks.
     """
-    graph = build(space, depth, extra_heights)
+    graph = build(space, depth)
     rng = random.Random(seed)
     columns = 1 << depth
     rows = len(graph.heights)
@@ -255,7 +257,7 @@ def agreement_check(space: Space, depth: int, samples: int, seed: int = 0,
         for _ in range(min(per_source, samples - checked)):
             tgt = (rng.randrange(columns), rng.randrange(rows))
             y = point_at(graph, *tgt)
-            exact = space.distance(x, y)
+            exact = closed_form(space, x, y)
             gap = abs(dist[_vertex(graph, y)] - exact)
             worst = max(worst, gap)
             checked += 1

@@ -1,4 +1,4 @@
-"""The glued space itself: configuration, canonical points, embeddings.
+"""The glued space itself: configuration, canonical points, level listings.
 
 A point is an equivalence class of (address, height) pairs: at a level of
 order k the two addresses differing exactly at digit k are the same point.
@@ -13,8 +13,8 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import ParseError, ResourceLimit
-from .fractal import Address, format_address, parse_address, value
-from .numeric import Interval, ScaleFactor
+from .fractal import Address, format_address, parse_address
+from .numeric import ScaleFactor
 from .wormhole import MSequence, WormholeLevel, classify_height, level_count, levels_in_range
 
 #: Most levels ``Space.wormholes`` lists; at s = 3, order 11 has 118 100.
@@ -25,7 +25,7 @@ MAX_LISTED_LEVELS = 200_000
 class Point:
     """Canonical (address, height) representative of a point of the space.
 
-    Build points through :meth:`Space.point` / :meth:`Space.canonicalize`,
+    Build points through :meth:`Space.point` or :meth:`Space.parse_point`,
     which enforce the digit convention at identification heights.
     """
 
@@ -67,7 +67,10 @@ class Space:
 
     # -- points ---------------------------------------------------------
 
-    def canonicalize(self, address: Address, height) -> Point:
+    def point(self, address: Union[Address, str], height) -> Point:
+        """The canonical point: digit k is 0 at a height identified at order k."""
+        if isinstance(address, str):
+            address = parse_address(address)
         height = Fraction(height)
         if not 0 <= height <= 1:
             raise ParseError(f"height {height} outside [0, 1]")
@@ -75,11 +78,6 @@ class Space:
         if level is not None and address.digit(level.order) == 1:
             address = address.switch(level.order)
         return Point(address, height)
-
-    def point(self, address: Union[Address, str], height) -> Point:
-        if isinstance(address, str):
-            address = parse_address(address)
-        return self.canonicalize(address, height)
 
     def parse_point(self, text: str) -> Point:
         """Parse ``"101(0)@1/10"`` literals."""
@@ -91,7 +89,7 @@ class Space:
             height = Fraction(height_text)
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad height {height_text!r} in {text!r}") from None
-        return self.canonicalize(address, height)
+        return self.point(address, height)
 
     def preimages(self, p: Point) -> tuple[tuple[Address, Fraction], ...]:
         """The one or two (address, height) pairs projecting to p."""
@@ -103,14 +101,7 @@ class Space:
             (p.address.switch(level.order), p.height),
         )
 
-    def embed(self, p: Point, bits: int = 64) -> tuple[Union[Fraction, Interval], Fraction]:
-        """Coordinates of the canonical preimage in the ambient product."""
-        return value(p.address, self.scale, bits), p.height
-
     # -- level queries ---------------------------------------------------
-
-    def level_of(self, height) -> Optional[WormholeLevel]:
-        return classify_height(self.mseq, height)
 
     def wormholes(self, order: int, lo=0, hi=1) -> list[WormholeLevel]:
         """The order-k levels inside [lo, hi], ascending, at most MAX_LISTED_LEVELS."""
@@ -120,28 +111,6 @@ class Space:
                 f"more than {MAX_LISTED_LEVELS} order-{order} levels: over the listing budget"
             )
         return list(levels_in_range(self.mseq, order, lo, hi))
-
-    # -- metric facade (implemented in the geodesic module) ---------------
-
-    def distance(self, x: Point, y: Point) -> Fraction:
-        from . import geodesic
-
-        return geodesic.distance(self, x, y)
-
-    def minimal_interval(self, x: Point, y: Point):
-        from . import geodesic
-
-        return geodesic.minimal_interval(self, x, y)
-
-    def geodesic(self, x: Point, y: Point, depth: int = 8):
-        from . import geodesic
-
-        return geodesic.geodesic_path(self, x, y, depth)
-
-    def connect(self, x: Point, y: Point, strategy: str = "nearest", depth: int = 8):
-        from . import geodesic
-
-        return geodesic.connect(self, x, y, strategy, depth)
 
     def __repr__(self):
         return f"Space(scale={self.scale})"

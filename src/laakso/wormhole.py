@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterator, Optional
 
-from .errors import InfeasibleSequence, InvariantViolation, NoLevelFound
+from .errors import InfeasibleSequence, NoLevelFound
 from .numeric import ScaleFactor
 
 
@@ -61,10 +61,6 @@ class MSequence:
         while len(self._m) < k:
             self._extend()
         return self._products[k]
-
-    def sandwich_holds(self, i: int) -> bool:
-        """Re-assert the two-sided bound (n/(n+1))/D_i <= s**-i <= ((n+1)/n)/D_i."""
-        return self._feasible(i, self.D(i))
 
     def _feasible(self, i: int, product: int) -> bool:
         n = self.n
@@ -237,30 +233,6 @@ def nearest(ms: MSequence, k: int, y, mode: str = "either") -> WormholeLevel:
             raise NoLevelFound(f"no order-{k} level at or {mode} {y}")
         return below or above
     return below if y - below.value <= above.value - y else above
-
-
-def nested_between(ms: MSequence, w1: WormholeLevel, w2: WormholeLevel, order: int) -> WormholeLevel:
-    """A level of the given higher order strictly between two distinct levels.
-
-    Both inputs are multiples of 1/D_K for K = max(order(w1), order(w2)), so
-    stepping one unit of 1/D_K down from the larger value and adding 1/D_order
-    lands strictly inside the gap; the resulting numerator is 1 mod m_order,
-    hence a valid level.
-    """
-    if w1.value == w2.value:
-        raise ValueError("levels must be distinct")
-    big = max(w1.order, w2.order)
-    if order <= big:
-        raise ValueError(f"target order must exceed {big}")
-    upper = max(w1, w2, key=lambda w: w.value)
-    lower = min(w1, w2, key=lambda w: w.value)
-    grid = ms.D(big)
-    steps = int(upper.value * grid)  # integral: D(big) is a multiple of both denominators
-    numerator = (steps - 1) * (ms.D(order) // grid) + 1
-    level = _level(ms, order, numerator)
-    if not lower.value < level.value < upper.value:
-        raise InvariantViolation(f"order-{order} level {level.value} outside the gap")
-    return level
 
 
 def level_count(ms: MSequence, k: int, lo, hi) -> int:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from laakso import Address, Space
+from laakso import Address, MSequence, Space
 
 
 @pytest.fixture(scope="session")
@@ -28,6 +28,14 @@ def s72():
 def q13():
     """Dimension 13/10: irrational scale 2**(10/3)."""
     return Space.from_dimension(Fraction(13, 10))
+
+
+def sandwich_holds(ms: MSequence, i: int) -> bool:
+    """The two-sided bound n/(n+1)/D_i <= s**-i <= (n+1)/n/D_i, decided exactly."""
+    n, product = ms.n, ms.D(i)
+    low = Fraction(n, (n + 1) * product)
+    high = Fraction(n + 1, n * product)
+    return ms.scale.compare_spower(i, low) >= 0 and ms.scale.compare_spower(i, high) <= 0
 
 
 def random_address(rng: random.Random, max_prefix: int = 6, max_cycle: int = 3) -> Address:

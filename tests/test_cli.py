@@ -49,6 +49,12 @@ class TestGlobalOptions:
         ("-s", "3", "space-info", "--entries", "-1"),
         ("-s", "3", "matrix", "--prefix-len", "-1"),
         ("-s", "3", "oracle-check", "--depth", "0"),
+        ("-s", "3", "oracle-check", "--depth", "2", "--samples", "0"),
+        ("-s", "3", "geodesic", "(0)@0", "(1)@1", "--depth", "0"),
+        ("-s", "3", "geodesic", "(0)@0", "(1)@1", "--depth", "-1"),
+        ("-s", "3", "path", "(0)@0", "(1)@1", "--depth", "0"),
+        ("-s", "3", "path", "(0)@0", "(1)@1", "--depth", "-1"),
+        ("-s", "3", "matrix", "--count", "-2"),
         ("-s", "3", "oracle-export", "--depth", "1", "--extra-height", "3/2"),
     ])
     def test_out_of_range_input_exits_2(self, runner, args):
@@ -65,6 +71,18 @@ class TestSpaceInfo:
         assert payload["m"] == [3, 3, 3, 3, 3]
         assert payload["D"] == "243"
         assert payload["dimension"] is None
+
+    def test_product_past_the_digit_limit_exits_3(self, runner):
+        started = time.monotonic()
+        result = invoke(runner, "-s", "1024", "space-info", "--entries", "1500")
+        assert time.monotonic() - started < 1.0
+        assert result.exit_code == 3
+        assert "D_1500 has more than" in result.output
+
+    def test_product_below_the_digit_limit_prints(self, runner):
+        result = invoke(runner, "-s", "1024", "space-info", "--entries", "1400")
+        assert result.exit_code == 0
+        assert json.loads(result.output)["D"] == str(2 ** 14000)
 
     def test_dimension_mode(self, runner):
         result = invoke(runner, "-q", "13/10", "space-info")

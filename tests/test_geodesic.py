@@ -11,6 +11,7 @@ from laakso import (
     Jump,
     Segment,
     classify,
+    classify_height,
     connect,
     difference_orders,
     distance,
@@ -173,10 +174,7 @@ class TestConnect:
             assert path.tail.truncated_at == depth
             assert path_length(path) == 1
 
-    def test_strategy_aliases(self, s3, corner_pair):
-        long_name = connect(s3, *corner_pair, strategy="increasing-order", depth=4)
-        short_name = connect(s3, *corner_pair, strategy="increasing", depth=4)
-        assert long_name == short_name
+    def test_unknown_strategy_rejected(self, s3, corner_pair):
         with pytest.raises(ValueError):
             connect(s3, *corner_pair, strategy="widest")
 
@@ -285,7 +283,7 @@ class TestGeodesic:
             path = geodesic_path(s3, x, y)
             for jump in path.jumps():
                 assert jump.to_address == jump.from_address.switch(jump.level.order)
-                level = s3.level_of(jump.level.value)
+                level = classify_height(s3.mseq, jump.level.value)
                 assert level is not None and level.order == jump.level.order
 
 

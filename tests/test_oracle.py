@@ -1,9 +1,12 @@
+import ast
 import heapq
 import random
+from pathlib import Path
 from fractions import Fraction
 
 import pytest
 
+import laakso
 from laakso import NotRepresentable, ResourceLimit, Space, distance
 from laakso.oracle import (
     agreement_check,
@@ -116,7 +119,7 @@ class TestAgreement:
                 assert graph_distance(graph, x, y) == distance(s3, x, y)
 
     def test_randomized_depth_five(self, s3):
-        checked, worst = agreement_check(s3, 5, samples=50, seed=17)
+        checked, worst = agreement_check(s3, 5, 50, distance, seed=17)
         assert checked == 50 and worst == 0
 
     def test_exhaustive_depth_two(self, s3):
@@ -156,15 +159,15 @@ class TestAgreement:
             assert graph_distance(graph, x, y) >= abs(x.height - y.height)
 
     def test_randomized_agreement_helper(self, s3):
-        checked, worst = agreement_check(s3, 3, samples=60, seed=9)
+        checked, worst = agreement_check(s3, 3, 60, distance, seed=9)
         assert checked == 60 and worst == 0
 
     def test_agreement_on_other_scales(self, s4):
-        checked, worst = agreement_check(s4, 2, samples=40, seed=3)
+        checked, worst = agreement_check(s4, 2, 40, distance, seed=3)
         assert checked == 40 and worst == 0
 
     def test_agreement_on_irrational_scale(self, q13):
-        checked, worst = agreement_check(q13, 2, samples=30, seed=5)
+        checked, worst = agreement_check(q13, 2, 30, distance, seed=5)
         assert checked == 30 and worst == 0
 
     def test_agreement_with_override_sequence(self):
@@ -172,8 +175,29 @@ class TestAgreement:
 
         space = Space.from_ratio(3, m_override=(4,))
         assert space.mseq.D(2) == 12
-        checked, worst = agreement_check(space, 2, samples=40, seed=7)
+        checked, worst = agreement_check(space, 2, 40, distance, seed=7)
         assert checked == 40 and worst == 0
+
+
+class TestIndependence:
+    @pytest.mark.parametrize("module", ["oracle.py", "space.py"])
+    def test_imports_nothing_from_geodesic(self, module):
+        tree = ast.parse((Path(laakso.__file__).parent / module).read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+        assert not {name for name in imported if "geodesic" in name}
+
+    def test_wrong_closed_form_is_caught(self, s3):
+        def off_by_a_billionth(space, x, y):
+            return distance(space, x, y) + Fraction(1, 10 ** 9)
+
+        checked, worst = agreement_check(s3, 3, 20, off_by_a_billionth, seed=9)
+        assert checked == 20 and worst == Fraction(1, 10 ** 9)
 
 
 def _reference_distances(graph, source) -> dict:
@@ -258,5 +282,5 @@ class TestWiderAgreement:
     def test_random_pairs(self, request, name, depth, vertices):
         space = request.getfixturevalue(name)
         assert build(space, depth).vertex_count == vertices
-        checked, worst = agreement_check(space, depth, samples=100, seed=29)
+        checked, worst = agreement_check(space, depth, 100, distance, seed=29)
         assert checked == 100 and worst == 0

@@ -18,9 +18,9 @@ from laakso import (
     last_in_interval,
     levels_in_range,
     nearest,
-    nested_between,
     omega_value,
 )
+from conftest import sandwich_holds
 
 # the order-2 and order-3 tables for the middle-thirds construction
 ORDER2 = {
@@ -82,7 +82,7 @@ class TestMSequence:
     def test_sandwich_holds_to_64(self, s3, s4, q13):
         for space in (s3, s4, q13):
             for i in range(1, 65):
-                assert space.mseq.sandwich_holds(i)
+                assert sandwich_holds(space.mseq, i)
 
     def test_greedy_matches_brute_force_for_irrational_scale(self, q13):
         # every admissible assignment of the first 8 entries, checked with an
@@ -110,7 +110,7 @@ class TestMSequence:
         ms = MSequence(ScaleFactor.from_ratio(3), override=(4, 3, 3))
         assert ms.entry(1) == 4
         assert ms.entry(5) == 3  # greedy continues beyond the override
-        assert all(ms.sandwich_holds(i) for i in range(1, 20))
+        assert all(sandwich_holds(ms, i) for i in range(1, 20))
 
     def test_override_rejected_with_index(self):
         with pytest.raises(InfeasibleSequence) as info:
@@ -254,14 +254,15 @@ class TestQueries:
 
 
 class TestNestedBetween:
+    """Between two distinct levels lies a level of every higher order."""
+
     def test_examples(self, s3):
-        w1 = omega_value(s3.mseq, (1,))
-        w2 = omega_value(s3.mseq, (2,))
-        assert nested_between(s3.mseq, w1, w2, 2).value == Fraction(4, 9)
-        assert nested_between(s3.mseq, w1, w2, 3).value == Fraction(10, 27)
-        lo = omega_value(s3.mseq, (0, 1))
-        hi = omega_value(s3.mseq, (0, 2))
-        assert nested_between(s3.mseq, lo, hi, 3).value == Fraction(4, 27)
+        third, two_thirds = Fraction(1, 3), Fraction(2, 3)
+        assert first_in_interval(s3.mseq, 2, third, two_thirds).value == Fraction(4, 9)
+        assert first_in_interval(s3.mseq, 3, third, two_thirds).value == Fraction(10, 27)
+        lo = omega_value(s3.mseq, (0, 1)).value
+        hi = omega_value(s3.mseq, (0, 2)).value
+        assert first_in_interval(s3.mseq, 3, lo, hi).value == Fraction(4, 27)
 
     def test_exhaustive_small_orders(self, s3):
         levels = [
@@ -270,18 +271,11 @@ class TestNestedBetween:
             for lvl in levels_in_range(s3.mseq, k, 0, 1)
         ]
         for w1, w2 in itertools.permutations(levels, 2):
+            lower, upper = sorted((w1.value, w2.value))
             for target in range(max(w1.order, w2.order) + 1, 6):
-                mid = nested_between(s3.mseq, w1, w2, target)
-                assert mid.order == target
-                assert min(w1.value, w2.value) < mid.value < max(w1.value, w2.value)
-
-    def test_preconditions(self, s3):
-        w1 = omega_value(s3.mseq, (1,))
-        w2 = omega_value(s3.mseq, (0, 1))
-        with pytest.raises(ValueError):
-            nested_between(s3.mseq, w1, w2, 2)  # order not above both
-        with pytest.raises(ValueError):
-            nested_between(s3.mseq, w1, w1, 3)  # equal values
+                mid = first_in_interval(s3.mseq, target, lower, upper)
+                assert mid is not None and mid.order == target
+                assert lower < mid.value < upper
 
 
 @pytest.mark.parametrize("name", sorted(LEVEL_SPACES))
