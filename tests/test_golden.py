@@ -1,10 +1,11 @@
 """Byte-for-byte pins of the JSON the CLI emits, one sha256 per case.
 
 Named cases run through the CLI in both argument orders.  Random cases draw
-seeded pairs on three spaces and hash the distance payload, the depth-8
-geodesic and both connect strategies, serialised as the CLI serialises
-them.  Run this file as a script to record ``golden_sha256.txt`` again
-after an intended change of output.
+seeded pairs on three spaces and on two spaces with a branching override,
+and hash the distance payload, the depth-8 geodesic and both connect
+strategies, serialised as the CLI serialises them.  Run this file as a
+script to record ``golden_sha256.txt`` again after an intended change of
+output.
 """
 
 import hashlib
@@ -36,8 +37,17 @@ COMMANDS = [
     ("path", "--strategy", "nearest"),
     ("path", "--strategy", "increasing"),
 ]
-RANDOM_SPACES = [("-s", "3"), ("-s", "7/2"), ("-q", "13/10")]
-RANDOM_PAIRS = 200
+RANDOM_SPACES = [  # flag, value, branching override, pairs, path depths
+    ("-s", "3", "", 200, (8,)),
+    ("-s", "7/2", "", 200, (8,)),
+    ("-q", "13/10", "", 200, (8,)),
+    # overrides; a tail cut at depth 1 starts inside the override, where the
+    # exact tail sum adds term by term (with 3,3,4 a geometric series from
+    # order 1 or 2 would be wrong)
+    ("-s", "3", "4,3,3", 100, (8, 1)),
+    ("-s", "5", "6,5", 100, (8, 1)),
+    ("-s", "3", "3,3,4", 100, (8, 1)),
+]
 
 
 def _digest(text: str) -> str:
@@ -55,34 +65,37 @@ def _cli_cases():
                 yield " ".join(args), _digest(result.output)
 
 
-def _pair_json(space: Space, x, y) -> str:
+def _pair_json(space: Space, x, y, depths=(8,)) -> str:
     interval = minimal_interval(space, x, y)
     payloads = [
         {
             "distance": str(distance(space, x, y)),
             "interval": {"a": str(interval.a), "b": str(interval.b)},
         },
-        _path_json(geodesic_path(space, x, y, 8)),
     ]
-    for strategy in ("nearest", "increasing"):
-        path = connect(space, x, y, strategy, 8)
-        payloads.append({"length": _value_json(path_length(path)), "path": _path_json(path)})
+    for depth in depths:
+        payloads.append(_path_json(geodesic_path(space, x, y, depth)))
+        for strategy in ("nearest", "increasing"):
+            path = connect(space, x, y, strategy, depth)
+            payloads.append({"length": _value_json(path_length(path)), "path": _path_json(path)})
     return json.dumps(payloads, indent=2)
 
 
 def _random_cases():
-    for seed, (flag, value) in enumerate(RANDOM_SPACES):
+    for seed, (flag, value, override, pairs, depths) in enumerate(RANDOM_SPACES):
         build = Space.from_ratio if flag == "-s" else Space.from_dimension
-        space = build(Fraction(value))
+        space = build(Fraction(value), tuple(int(m) for m in override.split(",") if m))
+        label = f"{flag} {value}" + (f" --m-override {override}" if override else "")
+        at = "" if depths == (8,) else " at depths " + ",".join(map(str, depths))
         rng = random.Random(9000 + seed)
         denominators = (81, space.mseq.D(3))
-        for index in range(RANDOM_PAIRS):
+        for index in range(pairs):
             x = y = None
             while x == y:
                 x, y = (random_point(space, rng, height_denominator=rng.choice(denominators))
                         for _ in range(2))
-            case = f"{flag} {value} pair {index}: distance, geodesic, path x2 {x} {y}"
-            yield case, _digest(_pair_json(space, x, y))
+            case = f"{label} pair {index}: distance, geodesic, path x2{at} {x} {y}"
+            yield case, _digest(_pair_json(space, x, y, depths))
 
 
 def _recorded() -> dict:
