@@ -9,7 +9,6 @@ independent brute-force graph oracle for verification.
 from .errors import (
     InfeasibleSequence,
     InvariantViolation,
-    NoLevelFound,
     NotRepresentable,
     ParseError,
     PrecisionExhausted,
@@ -47,6 +46,7 @@ from .wormhole import (
     levels_in_range,
     nearest,
     omega_value,
+    snap,
 )
 
 __all__ = [
@@ -58,7 +58,6 @@ __all__ = [
     "Jump",
     "MSequence",
     "MinimalInterval",
-    "NoLevelFound",
     "NotRepresentable",
     "ParseError",
     "PathRep",
@@ -86,6 +85,7 @@ __all__ = [
     "omega_value",
     "parse_address",
     "path_length",
+    "snap",
     "value",
 ]
 

@@ -2,9 +2,9 @@
 
 Every fraction is emitted as an exact "p/q" string, never a float.  Exit
 codes: 0 on success, 2 on any parse/usage error, 3 on an infeasible
-branching override, an exhausted precision budget, a level listing, an
-oracle graph or a printed D_k over its budget, or a broken internal
-invariant.
+branching override, an exhausted precision budget, a level listing or an
+oracle graph over its budget, a number too long to print, or a broken
+internal invariant.
 """
 
 from __future__ import annotations
@@ -39,14 +39,31 @@ def _fraction(text: str) -> Fraction:
         raise ParseError(f"bad fraction {text!r}") from None
 
 
+def _text(value, what: str = "a number to print") -> str:
+    """str(value), or ResourceLimit when it passes Python's int-to-str digit limit."""
+    try:
+        return str(value)
+    except ValueError:  # raised only past the limit
+        limit = sys.get_int_max_str_digits()
+        raise ResourceLimit(f"{what} has more than {limit} digits: over the int-to-str limit") from None
+
+
 def _emit(payload) -> None:
     click.echo(json.dumps(payload, indent=2))
 
 
 def _value_json(v):
     if isinstance(v, Interval):
-        return {"lo": str(v.lo), "hi": str(v.hi)}
-    return str(v)
+        return {"lo": _text(v.lo), "hi": _text(v.hi)}
+    return _text(v)
+
+
+def _distance_json(space: Space, x, y) -> dict:
+    interval = minimal_interval(space, x, y)
+    return {
+        "distance": _text(interval.length_between(x, y)),
+        "interval": {"a": _text(interval.a), "b": _text(interval.b)},
+    }
 
 
 def _path_json(path: PathRep):
@@ -58,19 +75,19 @@ def _path_json(path: PathRep):
             "truncated_at": path.tail.truncated_at,
         }
     return {
-        "start": str(path.start),
-        "end": str(path.end),
+        "start": _text(path.start),
+        "end": _text(path.end),
         "class": label,
         "segments": [
             {
                 "address": format_address(s.address),
-                "from": str(s.h_start),
-                "to": str(s.h_end),
+                "from": _text(s.h_start),
+                "to": _text(s.h_end),
             }
             for s in path.segments()
         ],
         "jumps": [
-            {"order": j.level.order, "height": str(j.level.value), "kind": j.kind}
+            {"order": j.level.order, "height": _text(j.level.value), "kind": j.kind}
             for j in path.jumps()
         ],
         "limit": limit,
@@ -135,17 +152,14 @@ def main(ctx, s, q, m_override, seed):
 def space_info(cfg, entries):
     """Print n, the first branching entries and their product."""
     sp = cfg.space
-    product = sp.mseq.D(entries)
-    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    if digits and product >= 10 ** digits:
-        raise ResourceLimit(f"D_{entries} has more than {digits} digits: over the int-to-str limit")
     _emit(
         {
-            "scale": str(sp.scale),
-            "dimension": str(sp.dimension) if sp.dimension is not None else None,
+            # n and every entry m_i have no more digits than the scale
+            "scale": _text(sp.scale),
+            "dimension": _text(sp.dimension) if sp.dimension is not None else None,
             "n": sp.n,
             "m": [sp.mseq.entry(i) for i in range(1, entries + 1)],
-            "D": str(product),
+            "D": _text(sp.mseq.D(entries), f"D_{entries}"),
         }
     )
 
@@ -159,7 +173,7 @@ def space_info(cfg, entries):
 def wormholes(cfg, order, lo, hi):
     """Sorted identification heights of one order inside a range."""
     levels = cfg.space.wormholes(order, _fraction(lo), _fraction(hi))
-    _emit([str(w.value) for w in levels])
+    _emit([_text(w.value) for w in levels])
 
 
 @main.command("distance")
@@ -174,13 +188,7 @@ def distance_cmd(cfg, x, y):
     if px == py:
         _emit({"distance": "0", "interval": None})
         return
-    interval = minimal_interval(sp, px, py)
-    _emit(
-        {
-            "distance": str(interval.length_between(px, py)),
-            "interval": {"a": str(interval.a), "b": str(interval.b)},
-        }
-    )
+    _emit(_distance_json(sp, px, py))
 
 
 @main.command("geodesic")
@@ -197,18 +205,11 @@ def geodesic_cmd(cfg, x, y, depth, svg_out):
     if px == py:
         _emit({"distance": "0", "interval": None, "path": None})
         return
-    interval = minimal_interval(sp, px, py)
     path = geodesic_path(sp, px, py, depth)
     if svg_out:
         with open(svg_out, "w") as handle:
             handle.write(path_svg(sp, path))
-    _emit(
-        {
-            "distance": str(interval.length_between(px, py)),
-            "interval": {"a": str(interval.a), "b": str(interval.b)},
-            "path": _path_json(path),
-        }
-    )
+    _emit({**_distance_json(sp, px, py), "path": _path_json(path)})
 
 
 @main.command("path")
@@ -251,8 +252,8 @@ def matrix(cfg, count, prefix_len):
         if point not in seen:
             seen.add(point)
             points.append(point)
-    table = [[str(distance(sp, a, b)) for b in points] for a in points]
-    _emit({"points": [str(p) for p in points], "matrix": table})
+    table = [[_text(distance(sp, a, b)) for b in points] for a in points]
+    _emit({"points": [_text(p) for p in points], "matrix": table})
 
 
 @main.command("oracle-check")
@@ -263,7 +264,7 @@ def matrix(cfg, count, prefix_len):
 def oracle_check(cfg, depth, samples):
     """Randomized agreement test: graph distance vs closed form."""
     checked, worst = oracle_mod.agreement_check(cfg.space, depth, samples, distance, cfg.seed)
-    _emit({"depth": depth, "samples": checked, "max_discrepancy": str(worst)})
+    _emit({"depth": depth, "samples": checked, "max_discrepancy": _text(worst)})
     if worst != 0:
         sys.exit(1)
 
@@ -276,12 +277,14 @@ def oracle_check(cfg, depth, samples):
 @_guarded
 def oracle_export(cfg, depth, fmt, extras):
     """Emit the approximation graph as `u v w` lines with exact weights."""
+    heights = [_fraction(e) for e in extras]
+    _text(heights)  # formats every height, as the vertex labels will
     try:
-        graph = oracle_mod.build(cfg.space, depth, [_fraction(e) for e in extras])
+        graph = oracle_mod.build(cfg.space, depth, heights)
     except ValueError as exc:  # an extra height outside [0, 1]
         raise ParseError(str(exc)) from None
     for u, v, w in oracle_mod.iter_edges(graph):
-        click.echo(f"{u} {v} {w}")
+        click.echo(f"{u} {v} {_text(w)}")
 
 
 if __name__ == "__main__":

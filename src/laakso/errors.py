@@ -22,10 +22,6 @@ class InfeasibleSequence(ArithmeticError):
         self.index = index
 
 
-class NoLevelFound(LookupError):
-    """No identification level exists on the requested side of a height."""
-
-
 class NotRepresentable(ValueError):
     """A point cannot be mapped onto a finite-depth approximation graph."""
 

@@ -32,7 +32,7 @@ from .wormhole import (
     classify_height,
     first_in_interval,
     last_in_interval,
-    nearest,
+    snap,
 )
 
 UPWARD, DOWNWARD, INVERSION = "upward", "downward", "inversion"
@@ -74,6 +74,7 @@ class Tail:
 
     omega: Union[Fraction, Interval]
     truncated_at: int
+    side: int  # direction of the run into omega: 1 up, -1 down, 0 none
 
 
 @dataclass(frozen=True)
@@ -144,10 +145,10 @@ def minimal_interval(space: Space, x: Point, y: Point) -> MinimalInterval:
             if inside is not None:
                 grown.append((a, b, {**witnesses, order: inside}))
                 continue
-            below = last_in_interval(ms, order, Fraction(0), a)
+            below = snap(ms, order, a, up=False)
             if below is not None:
                 grown.append((below.value, b, {**witnesses, order: below}))
-            above = first_in_interval(ms, order, b, Fraction(1))
+            above = snap(ms, order, b, up=True)
             if above is not None:
                 grown.append((a, above.value, {**witnesses, order: above}))
         candidates = grown
@@ -168,31 +169,41 @@ def distance(space: Space, x: Point, y: Point) -> Fraction:
 # level selection for monotone sweeps
 
 
-def _order_tail_sum(ms: MSequence, diffs: DifferenceOrders, beyond: int) -> Optional[Fraction]:
-    """Exact sum of 1/D_n over the difference orders n > beyond.
+def _limit(ms: MSequence, diffs: DifferenceOrders, order: int, h: Fraction,
+           bound: Fraction) -> Union[Fraction, Interval, None]:
+    """Where the jumps through the difference orders past order accumulate.
 
-    Available only when the branching sequence is eventually the constant n
-    (an integer scale past any override), where each periodic block of
-    orders contributes a geometric series.
+    The run starts at h and heads towards bound.  When the branching
+    sequence is eventually the constant n (an integer scale past any
+    override), each periodic block of orders contributes a geometric
+    series and the limit is h plus or minus the exact sum of 1/D_k over the
+    orders k > order; None when that overshoots bound.  Otherwise it is
+    certified to lie within one order-`order` step of h, clipped at bound.
     """
+    if h == bound:
+        # a chain at its ceiling: every later order drops in just below it
+        return bound
+    up = bound > h
     if not ms.scale.is_integer:
-        return None
+        far = h + Fraction(1 if up else -1, ms.D(order))
+        return Interval(h, min(bound, far)) if up else Interval(max(bound, far), h)
     step = ms.n
-    floor = max(beyond, len(ms.override), diffs.start - 1)
-    total = Fraction(0)
-    for order in diffs:
-        if order > floor:
+    floor = max(order, len(ms.override), diffs.start - 1)
+    rest = Fraction(0)
+    for k in diffs:
+        if k > floor:
             break
-        if order > beyond:
-            total += Fraction(1, ms.D(order))
+        if k > order:
+            rest += Fraction(1, ms.D(k))
     period = diffs.period
     ratio = Fraction(step ** period, step ** period - 1)
     for offset in diffs.offsets:
         first = diffs.start + offset
         if first <= floor:
             first += ((floor - first) // period + 1) * period
-        total += Fraction(1, ms.D(first)) * ratio
-    return total
+        rest += Fraction(1, ms.D(first)) * ratio
+    omega = h + rest if up else h - rest
+    return omega if (omega <= bound if up else omega >= bound) else None
 
 
 def _sweep_levels(space: Space, lo: Fraction, hi: Fraction, diffs: DifferenceOrders,
@@ -223,19 +234,11 @@ def _sweep_levels(space: Space, lo: Fraction, hi: Fraction, diffs: DifferenceOrd
         count = len(placed) - len(anchors)
         if diffs.is_finite or count < depth:
             continue
-        rest = _order_tail_sum(ms, diffs, beyond=order)
-        if current == hi:
-            # the chain reached the ceiling: every later order drops in just
-            # below it, so the heights accumulate at hi itself
-            omega = hi
-        elif rest is None:
-            omega = Interval(current, min(hi, current + Fraction(1, ms.D(order))))
-        elif current + rest <= hi:
-            omega = current + rest
-        elif count > depth + 512:
-            raise InvariantViolation("sweep did not stabilise")  # unreachable
+        omega = _limit(ms, diffs, order, current, hi)
         if omega is not None:
             break
+        if count > depth + 512:
+            raise InvariantViolation("sweep did not stabilise")  # unreachable
     placed.sort(key=lambda w: w.value)
     if isinstance(omega, Interval):
         # materialized chain levels sit at or below the enclosure's floor
@@ -266,12 +269,12 @@ def _append_segment(moves: list, address: Address, h_from: Optional[Fraction], h
         moves.append(Segment(address, h_from, h_to))
 
 
-def _jump(moves: list, address: Address, h: Optional[Fraction], level: WormholeLevel) -> Address:
-    """Record the run from h to level and the jump there; return the new address."""
+def _jump(moves: list, address: Address, h: Optional[Fraction], level: WormholeLevel) -> tuple[Address, Fraction]:
+    """Record the run from h to level and the jump there; return the new address and height."""
     _append_segment(moves, address, h, level.value)
     switched = address.switch(level.order)
     moves.append((level, address, switched))
-    return switched
+    return switched, level.value
 
 
 def _flip(move):
@@ -317,7 +320,7 @@ def _assemble(start: Point, end: Point, moves: list) -> PathRep:
         else:
             direction = _side(h, move)
             split = len(elements)
-            tail = Tail(move, sum(not isinstance(e, Segment) for e in elements))
+            tail = Tail(move, sum(not isinstance(e, Segment) for e in elements), direction)
         if direction:
             settle(direction)
             into = direction
@@ -354,8 +357,7 @@ def geodesic_path(space: Space, x: Point, y: Point, depth: int = 8) -> PathRep:
     _append_segment(moves, address, low.height, interval.a)
     h = interval.a
     for level in pre:
-        address = _jump(moves, address, h, level)
-        h = level.value
+        address, h = _jump(moves, address, h, level)
     if omega is None:
         _append_segment(moves, address, h, interval.b)
         h = interval.b
@@ -368,8 +370,7 @@ def geodesic_path(space: Space, x: Point, y: Point, depth: int = 8) -> PathRep:
         # implicit; everything after it is exact
         h = omega if isinstance(omega, Fraction) else None
         for level in post:
-            address = _jump(moves, address, h, level)
-            h = level.value
+            address, h = _jump(moves, address, h, level)
     _append_segment(moves, address, h, high.height)
     if address != high.address:
         raise InvariantViolation("geodesic ends at the wrong address")
@@ -383,23 +384,13 @@ def geodesic_path(space: Space, x: Point, y: Point, depth: int = 8) -> PathRep:
 
 
 def _pick_level(ms: MSequence, order: int, height: Fraction, strategy: str, upward: bool) -> WormholeLevel:
+    below, above = snap(ms, order, height, up=False), snap(ms, order, height, up=True)
+    if below is None or above is None:  # every order has a level in (0, 1)
+        return below or above
     if strategy == NEAREST:
-        below = last_in_interval(ms, order, Fraction(0), height)
-        above = first_in_interval(ms, order, height, Fraction(1))
-        if below is None:
-            return above
-        if above is None:
-            return below
         # an exact tie follows the worked construction and goes above
         return below if height - below.value < above.value - height else above
-    level = (
-        first_in_interval(ms, order, height, Fraction(1))
-        if upward
-        else last_in_interval(ms, order, Fraction(0), height)
-    )
-    if level is None:
-        return nearest(ms, order, height, "either")
-    return level
+    return above if upward else below
 
 
 def connect(space: Space, x: Point, y: Point, strategy: str = NEAREST, depth: int = 8) -> PathRep:
@@ -426,7 +417,8 @@ def connect(space: Space, x: Point, y: Point, strategy: str = NEAREST, depth: in
     diffs = difference_orders(start_address, end_address)
 
     # every step beyond the truncation moves one grid unit towards the
-    # limit: upward for the nearest rule (ties go up) and for rising sweeps
+    # limit: up towards 1 for the nearest rule (ties go up) and for rising
+    # sweeps, down towards 0 otherwise
     upward = y.height >= x.height
     rising = strategy == NEAREST or upward
     moves: list = []
@@ -434,17 +426,12 @@ def connect(space: Space, x: Point, y: Point, strategy: str = NEAREST, depth: in
     h = x.height
     for count, order in enumerate(diffs, 1):
         level = _pick_level(ms, order, h, strategy, upward)
-        address = _jump(moves, address, h, level)
-        h = level.value
+        address, h = _jump(moves, address, h, level)
         if diffs.is_finite or count < depth:
             continue
-        rest = _order_tail_sum(ms, diffs, beyond=order)
-        if rest is not None:
-            omega = h + rest if rising else h - rest
-        elif rising:
-            omega = Interval(h, min(Fraction(1), h + Fraction(1, ms.D(order))))
-        else:
-            omega = Interval(max(Fraction(0), h - Fraction(1, ms.D(order))), h)
+        omega = _limit(ms, diffs, order, h, Fraction(rising))
+        if omega is None:
+            raise InvariantViolation("connect's limit lies outside [0, 1]")
         moves.append(omega)
         address = end_address
         h = omega if isinstance(omega, Fraction) else None
@@ -502,10 +489,7 @@ def classify(path: PathRep) -> tuple[str, tuple[str, ...]]:
     kinds = tuple(j.kind for j in path.jumps())
     directions = {s.direction for s in path.segments()}
     if path.tail is not None:
-        h = path.start.height
-        for last in path.items[-1:]:
-            h = last.h_end if isinstance(last, Segment) else last.height
-        directions.add(_side(h, path.tail.omega))
+        directions.add(path.tail.side)
     if INVERSION in kinds or {1, -1} <= directions:
         label = OSCILLATING
     elif -1 in directions:

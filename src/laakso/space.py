@@ -72,8 +72,8 @@ class Space:
         if isinstance(address, str):
             address = parse_address(address)
         height = Fraction(height)
-        if not 0 <= height <= 1:
-            raise ParseError(f"height {height} outside [0, 1]")
+        if not 0 <= height <= 1:  # not printed: it may be too long for str()
+            raise ParseError("height outside [0, 1]")
         level = classify_height(self.mseq, height)
         if level is not None and address.digit(level.order) == 1:
             address = address.switch(level.order)
@@ -89,6 +89,8 @@ class Space:
             height = Fraction(height_text)
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad height {height_text!r} in {text!r}") from None
+        if not 0 <= height <= 1:
+            raise ParseError(f"height {height_text!r} in {text!r} outside [0, 1]")
         return self.point(address, height)
 
     def preimages(self, p: Point) -> tuple[tuple[Address, Fraction], ...]:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterator, Optional
 
-from .errors import InfeasibleSequence, NoLevelFound
+from .errors import InfeasibleSequence
 from .numeric import ScaleFactor
 
 
@@ -191,8 +191,11 @@ def classify_height(ms: MSequence, y) -> Optional[WormholeLevel]:
             return _level(ms, k, y.numerator * (den // q))
 
 
-def _snap(ms: MSequence, k: int, y: Fraction, up: bool) -> Optional[WormholeLevel]:
-    """The least order-k level at or above y (up), or the greatest at or below it."""
+def snap(ms: MSequence, k: int, y, up: bool) -> Optional[WormholeLevel]:
+    """The least order-k level at or above y (up), or the greatest at or below it.
+
+    y is a Fraction or an int; None when no order-k level lies on that side.
+    """
     den = ms.D(k)
     if up:
         numerator = max(1, -(-y.numerator * den // y.denominator))
@@ -207,30 +210,20 @@ def _snap(ms: MSequence, k: int, y: Fraction, up: bool) -> Optional[WormholeLeve
 
 def first_in_interval(ms: MSequence, k: int, lo, hi) -> Optional[WormholeLevel]:
     """Least order-k level inside [lo, hi], by numerator arithmetic."""
-    level = _snap(ms, k, Fraction(lo), up=True)
-    return level if level is not None and level.value <= Fraction(hi) else None
+    level = snap(ms, k, lo, up=True)
+    return level if level is not None and level.value <= hi else None
 
 
 def last_in_interval(ms: MSequence, k: int, lo, hi) -> Optional[WormholeLevel]:
     """Greatest order-k level inside [lo, hi]."""
-    level = _snap(ms, k, Fraction(hi), up=False)
-    return level if level is not None and level.value >= Fraction(lo) else None
+    level = snap(ms, k, hi, up=False)
+    return level if level is not None and level.value >= lo else None
 
 
-def nearest(ms: MSequence, k: int, y, mode: str = "either") -> WormholeLevel:
-    """The order-k level closest to y, restricted by mode.
-
-    ``below``/``above`` are non-strict; an exact tie in ``either`` mode
-    returns the lower level.
-    """
-    y = Fraction(y)
-    if mode not in ("below", "above", "either"):
-        raise ValueError(f"unknown mode {mode!r}")
-    below = None if mode == "above" else _snap(ms, k, y, up=False)
-    above = None if mode == "below" else _snap(ms, k, y, up=True)
-    if below is None or above is None:
-        if below is None and above is None:  # only in "below" or "above" mode
-            raise NoLevelFound(f"no order-{k} level at or {mode} {y}")
+def nearest(ms: MSequence, k: int, y) -> WormholeLevel:
+    """The order-k level closest to y; an exact tie returns the lower level."""
+    below, above = snap(ms, k, y, up=False), snap(ms, k, y, up=True)
+    if below is None or above is None:  # every order has a level in (0, 1)
         return below or above
     return below if y - below.value <= above.value - y else above
 

@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 
 import pytest
@@ -60,6 +61,30 @@ class TestGlobalOptions:
     def test_out_of_range_input_exits_2(self, runner, args):
         result = invoke(runner, *args)
         assert result.exit_code == 2
+
+    def test_out_of_range_height_names_its_literal(self, runner):
+        result = invoke(runner, "-s", "3", "distance", "(0)@1e5000", "(1)@0")
+        assert result.exit_code == 2
+        assert result.output == "error: height '1e5000' in '(0)@1e5000' outside [0, 1]\n"
+
+    @pytest.mark.parametrize("args", [
+        ("-s", "3", "distance", "(0)@1e-4400", "(1)@1/2"),
+        ("-s", "3", "geodesic", "(0)@1e-4400", "(1)@1/2"),
+        ("-s", "3", "path", "(0)@1e-4400", "(1)@1/2"),
+        ("-s", "1024", "wormholes", "--order", "1430", "--to", "1e-4304"),
+        ("-s", "1024", "matrix", "--count", "2", "--prefix-len", "1500"),
+        ("-s", "1e4400", "space-info", "--entries", "1"),
+        ("-s", "3", "oracle-export", "--depth", "1", "--extra-height", "1e-4400"),
+    ])
+    def test_number_past_the_digit_limit_exits_3(self, runner, args):
+        started = time.monotonic()
+        result = invoke(runner, *args)
+        assert time.monotonic() - started < 1.0
+        assert result.exit_code == 3
+        limit = sys.get_int_max_str_digits()
+        assert result.output == (
+            f"error: a number to print has more than {limit} digits: over the int-to-str limit\n"
+        )
 
 
 class TestSpaceInfo:

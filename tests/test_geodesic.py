@@ -246,6 +246,14 @@ class TestGeodesic:
             assert kinds.count(INVERSION) == 2
             assert kinds[0] == kinds[-1] == INVERSION
 
+    def test_run_into_the_tail_sets_the_label(self, s72):
+        # at depth 1 the path has no segment: it runs down from height 1
+        # into a certified limit and then only jumps
+        x, y = s72.parse_point("10(1)@1"), s72.parse_point("01(0)@1/4")
+        path = geodesic_path(s72, x, y, depth=1)
+        assert not path.segments() and path.tail.side == -1
+        assert classify(path) == (MONOTONE_DOWN, ("downward",))
+
     def test_oscillating_kinds_on_worked_path(self, s3, worked_pair):
         label, kinds = classify(connect(s3, *worked_pair, strategy="nearest"))
         assert label == OSCILLATING

@@ -1,0 +1,115 @@
+"""Properties of the closed-form metric over randomly drawn spaces.
+
+Each example draws a space (a rational scale in (2, 6], or a dimension in
+[11/10, 19/10], with a valid branching override prefix) and points on it,
+then checks the metric axioms, that the geodesic's length is the distance,
+that constructive paths are no shorter, that reversal changes nothing, and
+that two literals of the same point parse to the same canonical point.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from laakso import (
+    Address,
+    InfeasibleSequence,
+    Interval,
+    Space,
+    classify_height,
+    connect,
+    distance,
+    geodesic_path,
+    path_length,
+)
+
+PROPERTY = settings(max_examples=30, deadline=None)
+
+
+@st.composite
+def spaces(draw) -> Space:
+    if draw(st.booleans()):
+        build, value = Space.from_ratio, draw(
+            st.fractions(2, 6, max_denominator=4).filter(lambda s: s > 2))
+    else:
+        build, value = Space.from_dimension, draw(
+            st.fractions(Fraction(11, 10), Fraction(19, 10), max_denominator=10))
+    n = build(value).n
+    override = tuple(n + bit for bit in draw(st.lists(st.integers(0, 1), max_size=4)))
+    try:
+        return build(value, override)
+    except InfeasibleSequence as exc:  # keep the valid part of the prefix
+        return build(value, override[:exc.index - 1])
+
+
+@st.composite
+def addresses(draw) -> Address:
+    prefix = draw(st.lists(st.integers(0, 1), max_size=5))
+    cycle = draw(st.lists(st.integers(0, 1), min_size=1, max_size=3))
+    return Address(tuple(prefix), tuple(cycle))
+
+
+def heights(space: Space):
+    """Heights on the grids of orders 1-3 (levels among them) and off them."""
+    dens = [space.mseq.D(k) for k in (1, 2, 3)] + [7, 10]
+    return st.sampled_from(dens).flatmap(
+        lambda den: st.integers(0, den).map(lambda num: Fraction(num, den)))
+
+
+def points(space: Space):
+    return st.builds(space.point, addresses(), heights(space))
+
+
+@PROPERTY
+@given(data=st.data())
+def test_metric_axioms(data):
+    space = data.draw(spaces())
+    x, y, z = (data.draw(points(space)) for _ in range(3))
+    dxy, dyz, dxz = distance(space, x, y), distance(space, y, z), distance(space, x, z)
+    assert distance(space, x, x) == 0
+    assert (dxy > 0) == (x != y)
+    assert dxy == distance(space, y, x)
+    assert dxz <= dxy + dyz
+
+
+@PROPERTY
+@given(data=st.data())
+def test_geodesic_length_is_the_distance_and_paths_are_no_shorter(data):
+    space = data.draw(spaces())
+    x, y = data.draw(points(space)), data.draw(points(space))
+    d = distance(space, x, y)
+    length = path_length(geodesic_path(space, x, y, 8))
+    assert length.lo <= d <= length.hi if isinstance(length, Interval) else length == d
+    for strategy in ("nearest", "increasing"):
+        length = path_length(connect(space, x, y, strategy, 8))
+        assert (length.hi if isinstance(length, Interval) else length) >= d
+
+
+@PROPERTY
+@given(data=st.data())
+def test_reversal_changes_neither_distance_nor_geodesic_length(data):
+    space = data.draw(spaces())
+    x, y = data.draw(points(space)), data.draw(points(space))
+    forward, backward = geodesic_path(space, x, y, 8), geodesic_path(space, y, x, 8)
+    assert distance(space, x, y) == distance(space, y, x)
+    assert path_length(forward) == path_length(backward)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_literals_of_one_point_parse_to_one_canonical_point(data):
+    space = data.draw(spaces())
+    a, h = data.draw(addresses()), data.draw(heights(space))
+    prefix, cycle = "".join(map(str, a.prefix)), "".join(map(str, a.cycle))
+    # the same digit string spelled with an unrolled, rotated, doubled cycle,
+    # and the same height with its fraction unreduced
+    turn = data.draw(st.integers(0, len(cycle) - 1))
+    unrolled = prefix + cycle + cycle[:turn] + "(" + (cycle[turn:] + cycle[:turn]) * 2 + ")"
+    scale = data.draw(st.integers(2, 5))
+    unreduced = f"{h.numerator * scale}/{h.denominator * scale}"
+    first = space.parse_point(f"{prefix}({cycle})@{h}")
+    second = space.parse_point(f"{unrolled}@{unreduced}")
+    assert first == second and first.address == second.address
+    level = classify_height(space.mseq, h)
+    if level is not None:  # the two addresses glued at this height
+        assert space.point(a.switch(level.order), h) == first

@@ -47,6 +47,9 @@ class TestCanonicalize:
             s3.point(ZERO, Fraction(3, 2))
         with pytest.raises(ParseError):
             s3.point(ZERO, Fraction(-1, 10))
+        # the message leaves out a height too long for str()
+        with pytest.raises(ParseError, match=r"^height outside \[0, 1\]$"):
+            s3.point(ZERO, Fraction(10 ** 5000))
 
 
 class TestPreimages:

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from laakso import (
     InfeasibleSequence,
     MSequence,
-    NoLevelFound,
     ScaleFactor,
     classify_height,
     first_in_interval,
@@ -19,6 +18,7 @@ from laakso import (
     levels_in_range,
     nearest,
     omega_value,
+    snap,
 )
 from conftest import sandwich_holds
 
@@ -229,15 +229,13 @@ class TestQueries:
 
     def test_nearest_examples(self, s3):
         assert nearest(s3.mseq, 1, Fraction(1, 5)).value == Fraction(1, 3)
-        assert nearest(s3.mseq, 3, Fraction(1, 3), "above").value == Fraction(10, 27)
-        # exact tie in either mode resolves to the lower level
+        assert snap(s3.mseq, 3, Fraction(1, 3), up=True).value == Fraction(10, 27)
+        # an exact tie resolves to the lower level
         assert nearest(s3.mseq, 1, Fraction(1, 2)).value == Fraction(1, 3)
 
-    def test_nearest_not_found(self, s3):
-        with pytest.raises(NoLevelFound):
-            nearest(s3.mseq, 1, Fraction(1, 5), "below")
-        with pytest.raises(NoLevelFound):
-            nearest(s3.mseq, 1, Fraction(9, 10), "above")
+    def test_snap_finds_none_past_the_last_level(self, s3):
+        assert snap(s3.mseq, 1, Fraction(1, 5), up=False) is None
+        assert snap(s3.mseq, 1, Fraction(9, 10), up=True) is None
 
     def test_nearest_matches_enumeration(self, s3):
         rng = random.Random(25)
@@ -305,12 +303,9 @@ class TestLevelProperties:
         below_cut, above_cut = bisect.bisect_right(levels, y), bisect.bisect_left(levels, y)
         below = levels[below_cut - 1] if below_cut else None
         above = levels[above_cut] if above_cut < len(levels) else None
-        for mode, expected in (("below", below), ("above", above)):
-            if expected is None:
-                with pytest.raises(NoLevelFound):
-                    nearest(ms, k, y, mode)
-            else:
-                assert nearest(ms, k, y, mode).value == expected
+        for up, expected in ((False, below), (True, above)):
+            level = snap(ms, k, y, up)
+            assert (level.value if level else None) == expected
         best = min((v for v in (below, above) if v is not None), key=lambda v: (abs(v - y), v))
         assert nearest(ms, k, y).value == best
 
