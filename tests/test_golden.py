@@ -3,9 +3,10 @@
 Named cases run through the CLI in both argument orders.  Random cases draw
 seeded pairs on three spaces and on two spaces with a branching override,
 and hash the distance payload, the depth-8 geodesic and both connect
-strategies, serialised as the CLI serialises them.  Run this file as a
-script to record ``golden_sha256.txt`` again after an intended change of
-output.
+strategies, serialised as the CLI serialises them.  Sequence cases hash the
+printed scale, n and the first 200 branching entries of seeded scales and
+dimensions.  Run this file as a script to record ``golden_sha256.txt`` and
+``golden_sequences_sha256.txt`` again after an intended change of output.
 """
 
 import hashlib
@@ -21,6 +22,8 @@ from laakso import Space, connect, distance, geodesic_path, minimal_interval, pa
 from laakso.cli import _path_json, _value_json, main
 
 DATA = Path(__file__).with_name("golden_sha256.txt")
+SEQUENCE_DATA = Path(__file__).with_name("golden_sequences_sha256.txt")
+SEQUENCE_ENTRIES = 200
 
 NAMED_PAIRS = [
     (("-s", "3"), "(0)@1/5", "101(0)@1/10"),  # the worked pair
@@ -98,9 +101,46 @@ def _random_cases():
             yield case, _digest(_pair_json(space, x, y, depths))
 
 
-def _recorded() -> dict:
-    lines = DATA.read_text().splitlines()
+def _sequence_spaces():
+    """Rational scales in (2, 9], dimensions in (1, 2) and two overrides."""
+    rng = random.Random(8100)
+    scales = set()
+    dimensions = {Fraction(3, 2), Fraction(5, 4), Fraction(13, 10)}  # s = 4, 16, 2^(10/3)
+    while len(scales) < 30:
+        den = rng.randint(1, 12)
+        scales.add(Fraction(rng.randint(2 * den + 1, 9 * den), den))
+    while len(dimensions) < 19:  # the random ones give an irrational scale
+        den = rng.randint(2, 20)
+        q = Fraction(rng.randint(den + 1, 2 * den - 1), den)
+        if (q - 1).numerator != 1:
+            dimensions.add(q)
+    yield from (("-s", s, "") for s in sorted(scales))
+    yield from (("-q", q, "") for q in sorted(dimensions))
+    yield "-s", Fraction(3), "4,3,3"
+    yield "-s", Fraction(5), "6,5"
+
+
+def _sequence_cases():
+    for flag, value, override in _sequence_spaces():
+        build = Space.from_ratio if flag == "-s" else Space.from_dimension
+        space = build(value, tuple(int(m) for m in override.split(",") if m))
+        label = f"{flag} {value}" + (f" --m-override {override}" if override else "")
+        entries = ",".join(str(space.mseq.entry(i)) for i in range(1, SEQUENCE_ENTRIES + 1))
+        text = f"scale {space.scale}\nn {space.n}\nm {entries}\n"
+        yield f"{label} sequence m_1..m_{SEQUENCE_ENTRIES}", _digest(text)
+
+
+def _recorded(data: Path = DATA) -> dict:
+    lines = data.read_text().splitlines()
     return {case: digest for digest, case in (line.split("  ", 1) for line in lines)}
+
+
+def test_sequences_match_recorded():
+    recorded = _recorded(SEQUENCE_DATA)
+    computed = dict(_sequence_cases())
+    differ = [case for case, digest in computed.items() if recorded.get(case) != digest]
+    assert not differ, f"{len(differ)} sequences differ, first: " + "; ".join(differ[:5])
+    assert set(recorded) == set(computed), "recorded sequences no longer generated"
 
 
 def test_outputs_match_recorded():
@@ -112,6 +152,7 @@ def test_outputs_match_recorded():
 
 
 if __name__ == "__main__":
-    cases = [*_cli_cases(), *_random_cases()]
-    DATA.write_text("".join(f"{digest}  {case}\n" for case, digest in cases))
-    print(f"recorded {len(cases)} cases in {DATA}")
+    for data, cases in ((DATA, [*_cli_cases(), *_random_cases()]),
+                        (SEQUENCE_DATA, list(_sequence_cases()))):
+        data.write_text("".join(f"{digest}  {case}\n" for case, digest in cases))
+        print(f"recorded {len(cases)} cases in {data}")
