@@ -124,12 +124,15 @@ class _Config:
                 override = tuple(int(tok) for tok in self.m_override.split(","))
             except ValueError:
                 raise ParseError(f"bad override list {self.m_override!r}") from None
+        literal = self.s if self.s is not None else self.q
+        value = _fraction(literal)
         try:
             if self.s is not None:
-                return Space.from_ratio(_fraction(self.s), override)
-            return Space.from_dimension(_fraction(self.q), override)
-        except ValueError as exc:  # a scale or dimension out of range
-            raise ParseError(str(exc)) from None
+                return Space.from_ratio(value, override)
+            return Space.from_dimension(value, override)
+        except ValueError as exc:  # out of range: put the literal after "scale" or "dimension"
+            what, rule = str(exc).split(" ", 1)
+            raise ParseError(f"{what} {literal!r} {rule}") from None
 
 
 @click.group()
@@ -154,7 +157,7 @@ def space_info(cfg, entries):
     sp = cfg.space
     _emit(
         {
-            # n and every entry m_i have no more digits than the scale
+            # n and every m_i are no longer than a rational scale (MAX_SCALE_LOG2 bounds 2^(a/b))
             "scale": _text(sp.scale),
             "dimension": _text(sp.dimension) if sp.dimension is not None else None,
             "n": sp.n,

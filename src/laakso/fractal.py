@@ -169,7 +169,7 @@ def value(a: Address, scale: ScaleFactor, bits: int = 64) -> Union[Fraction, Int
     width at most 2**-bits.
     """
     if scale.is_exact:
-        return _series_value(a, 1 / scale.ratio)
+        return _series_value(a, 1 / scale.power)
 
     def compute(work_bits):
         return _series_value(a, scale.recip_enclosure(work_bits))

@@ -2,12 +2,12 @@
 
 The scale is either a rational number greater than 2 or, when the space is
 configured by its dimension Q in (1,2), the generally irrational value
-s = 2**(1/(Q-1)).  In both modes every ordering decision of s**-i against a
-rational is made exactly with integer arithmetic: for the derived mode the
-comparison s**-i <> r is raised to the denominator of the exponent, which
-turns it into a comparison of two integers.  Certified rational enclosures
-are available for the quantities that are genuinely irrational (the
-horizontal coordinates of points, limit heights of infinite paths).
+s = 2**(1/(Q-1)).  Both are held as one fact, s**root = power with power a
+rational and root = 1 for a rational scale, so every ordering decision of
+s**-i against a rational is one comparison of two integers.  Certified
+rational enclosures are available for the quantities that are genuinely
+irrational (the horizontal coordinates of points, limit heights of infinite
+paths).
 """
 
 from __future__ import annotations
@@ -16,10 +16,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import PrecisionExhausted
+from .errors import PrecisionExhausted, ResourceLimit
 
 #: Bit ceiling for certified enclosure refinement.
 MAX_BITS = 4096
+
+#: Largest a of a derived scale s = 2**(a/b), checked before 2**a is built.
+#: With b >= 2 it keeps n = floor(s) below 2**8192, under 2 500 digits.
+MAX_SCALE_LOG2 = 1 << 14
 
 
 def iroot(x: int, k: int) -> int:
@@ -43,6 +47,12 @@ def iroot(x: int, k: int) -> int:
     while r ** k > x:  # guard against an off-by-one from the last step
         r -= 1
     return r
+
+
+def _pow(x: int, i: int) -> int:
+    """x**i for x >= 1, with the factors of two of x applied as one shift."""
+    twos = (x & -x).bit_length() - 1
+    return (x >> twos) ** i << twos * i
 
 
 def _as_bounds(value: Union["Interval", Fraction, int]) -> tuple[Fraction, Fraction]:
@@ -130,97 +140,80 @@ class Interval:
 
 @dataclass(frozen=True)
 class ScaleFactor:
-    """The contraction scale s > 2 of the two-branch system.
+    """The contraction scale s > 2 of the two-branch system, as s**root = power.
 
-    Exactly one description is active: ``ratio`` when s itself is rational,
-    or ``log2`` = log2(s) (a non-integer rational > 1) when the scale was
-    derived from a dimension and is irrational.  ``dimension`` records the
-    configuring Q when one was given; it is never re-derived numerically.
+    ``power`` is a Fraction and ``root`` a positive integer: root is 1 when s
+    itself is rational, and a scale s = 2**(a/b) derived from a dimension is
+    held as power = 2**a, root = b.  Every question about s is then one
+    integer formula.  ``dimension`` records the configuring Q when one was
+    given; it is never re-derived numerically.
     """
 
-    ratio: Optional[Fraction] = None
-    log2: Optional[Fraction] = None
+    power: Fraction
+    root: int = 1
     dimension: Optional[Fraction] = None
 
     @classmethod
     def from_ratio(cls, s) -> "ScaleFactor":
         s = Fraction(s)
-        if s <= 2:
-            raise ValueError(f"scale must exceed 2, got {s}")
-        return cls(ratio=s)
+        if s <= 2:  # the value is not printed: it may be too long for str()
+            raise ValueError("scale must exceed 2")
+        return cls(s)
 
     @classmethod
     def from_dimension(cls, q) -> "ScaleFactor":
         q = Fraction(q)
         if not Fraction(1) < q < Fraction(2):
-            raise ValueError(f"dimension must lie strictly inside (1, 2), got {q}")
+            raise ValueError("dimension must lie strictly inside (1, 2)")
         exponent = 1 / (q - 1)  # s = 2**exponent, exponent > 1
-        if exponent.denominator == 1:
-            return cls(ratio=Fraction(2 ** exponent.numerator), dimension=q)
-        return cls(log2=exponent, dimension=q)
-
-    def __post_init__(self):
-        if (self.ratio is None) == (self.log2 is None):
-            raise ValueError("exactly one of ratio/log2 must be set")
+        if exponent.numerator > MAX_SCALE_LOG2:
+            raise ResourceLimit(f"dimension gives s = 2^(a/b) with a over {MAX_SCALE_LOG2}: "
+                                "over the scale budget")
+        return cls(Fraction(1 << exponent.numerator), exponent.denominator, q)
 
     @property
     def is_exact(self) -> bool:
         """True when s is rational and every quantity is a Fraction."""
-        return self.ratio is not None
+        return self.root == 1
 
     @property
     def is_integer(self) -> bool:
-        return self.ratio is not None and self.ratio.denominator == 1
+        return self.root == 1 and self.power.denominator == 1
 
     def floor_s(self) -> int:
         """The unique integer n with n <= s < n+1 (always >= 2)."""
-        if self.ratio is not None:
-            return self.ratio.numerator // self.ratio.denominator
-        a, b = self.log2.numerator, self.log2.denominator
-        return iroot(2 ** a, b)
+        return iroot(self.power.numerator // self.power.denominator, self.root)
 
     def compare_spower(self, i: int, r) -> int:
         """Exact ordering of s**-i against a positive rational r.
 
         Returns -1, 0 or 1 for s**-i less than, equal to, or greater than r.
-        In derived mode the comparison is cleared of the fractional exponent:
-        with s = 2**(a/b), s**-i <> r holds iff 2**(i*a) * r**b <> 1, an
-        integer comparison that also decides genuine ties such as
-        s**-3 = 1/1024 for s = 2**(10/3).
+        Raised to the root, s**-i <> r holds iff q**i * y**root <> p**i * x**root
+        with power = p/q and r = x/y: an integer comparison that also decides
+        genuine ties such as s**-3 = 1/1024 for s = 2**(10/3).
         """
         if i < 1:
             raise ValueError("exponent must be >= 1")
-        r = Fraction(r)
-        if r <= 0:
+        x, y = r.numerator, r.denominator
+        if x <= 0:
             raise ValueError("comparison value must be positive")
-        if self.ratio is not None:
-            lhs = Fraction(self.ratio.denominator ** i, self.ratio.numerator ** i)
-            return (lhs > r) - (lhs < r)
-        a, b = self.log2.numerator, self.log2.denominator
-        left = r.numerator ** b << (i * a)  # (r * s**i)**b numerator
-        right = r.denominator ** b
-        # s**-i > r  iff  r * s**i < 1  iff  left < right
-        return (left < right) - (left > right)
+        p, q = self.power.numerator, self.power.denominator
+        left = _pow(q, i) * _pow(y, self.root)
+        right = _pow(p, i) * _pow(x, self.root)
+        return (left > right) - (left < right)
 
     def recip_enclosure(self, bits: int) -> Interval:
-        """Certified enclosure of 1/s with width at most 2**-bits."""
-        if self.ratio is not None:
-            u = 1 / self.ratio
-            return Interval(u, u)
-        a, b = self.log2.numerator, self.log2.denominator
-        exponent = bits * b - a  # (1/s) * 2**bits = 2**(exponent/b)
-        if exponent < 0:
-            return Interval(Fraction(0), Fraction(1, 2 ** bits))
-        lo = iroot(2 ** exponent, b)
-        scale = Fraction(1, 2 ** bits)
-        if lo ** b == 2 ** exponent:
-            return Interval(lo * scale, lo * scale)
-        return Interval(lo * scale, (lo + 1) * scale)
+        """Certified enclosure of 1/s with width at most 2**-bits, from floor(2**bits / s)."""
+        p, q = self.power.numerator, self.power.denominator
+        scaled = q << bits * self.root  # (2**bits / s)**root = scaled / p
+        lo = iroot(scaled // p, self.root)
+        hi = lo if lo ** self.root * p == scaled else lo + 1
+        return Interval(Fraction(lo, 1 << bits), Fraction(hi, 1 << bits))
 
     def __str__(self):
-        if self.ratio is not None:
-            return str(self.ratio)
-        return f"2^({self.log2})"
+        if self.root == 1:
+            return str(self.power)
+        return f"2^({self.power.numerator.bit_length() - 1}/{self.root})"
 
 
 def refine(compute, target_width: Fraction, start_bits: int = 64):

@@ -30,12 +30,17 @@ def _strip(value: int, factor: int) -> int:
 class MSequence:
     """Lazily extended choice of m_i in {n, n+1} with memoized products.
 
-    Entries are produced by a deterministic greedy rule: among the choices
-    that keep the two-sided product bound satisfied, take the one whose
-    product D_i stays log-closest to s**i, preferring n on a tie.  A user
-    supplied override prefix is validated entry by entry instead of chosen.
-    Extension must be serialized by the caller; materialized entries are
-    safe to read concurrently.
+    Entries are produced by a deterministic greedy rule: take the m_i whose
+    product D_i is log-closest to s**i, preferring n on a tie.  That choice
+    always keeps the two-sided bound n/(n+1) <= s**i/D_i <= (n+1)/n.  By the
+    bound at i-1 (or D_0 = 1), t = s**i/D_(i-1) lies in [s*n/(n+1),
+    s*(n+1)/n], which n <= s < n+1 puts inside [n*n/(n+1), (n+1)**2/n]; the
+    entry log-closest to t (n when t <= n, n+1 when t >= n+1, and within a
+    factor sqrt((n+1)/n) of t in between) leaves t/m_i inside the bound.
+    Each entry is still checked, and a greedy entry that fails reports a
+    library bug.  A user supplied override prefix is validated entry by
+    entry instead of chosen.  Extension must be serialized by the caller;
+    materialized entries are safe to read concurrently.
     """
 
     def __init__(self, scale: ScaleFactor, override=()):
@@ -85,16 +90,12 @@ class MSequence:
             choice = self.override[i - 1]
             if choice not in (n, n + 1):
                 raise InfeasibleSequence(i, f"override entry {choice} not in {{{n}, {n + 1}}}")
-            if not self._feasible(i, previous * choice):
-                raise InfeasibleSequence(i, f"override entry {choice} violates the product bounds")
+            problem = f"override entry {choice} violates the product bounds"
         else:
-            feasible = [m for m in (n, n + 1) if self._feasible(i, previous * m)]
-            if not feasible:
-                raise InfeasibleSequence(i, "no admissible entry (scale handling bug)")
-            if len(feasible) == 2:
-                choice = n if self._prefers_n(i, previous) else n + 1
-            else:
-                choice = feasible[0]
+            choice = n if self._prefers_n(i, previous) else n + 1
+            problem = f"greedy entry {choice} violates the product bounds (scale handling bug)"
+        if not self._feasible(i, previous * choice):
+            raise InfeasibleSequence(i, problem)
         self._m.append(choice)
         self._products.append(previous * choice)
 

@@ -1,12 +1,14 @@
 import json
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
 from laakso import InvariantViolation
 from laakso.cli import main
+from laakso.numeric import MAX_SCALE_LOG2
 
 
 @pytest.fixture()
@@ -66,6 +68,41 @@ class TestGlobalOptions:
         result = invoke(runner, "-s", "3", "distance", "(0)@1e5000", "(1)@0")
         assert result.exit_code == 2
         assert result.output == "error: height '1e5000' in '(0)@1e5000' outside [0, 1]\n"
+
+    @pytest.mark.parametrize("args, message", [
+        (("-s", "1e-5000", "space-info"), "error: scale '1e-5000' must exceed 2\n"),
+        (("-q", "1e5000", "space-info"),
+         "error: dimension '1e5000' must lie strictly inside (1, 2)\n"),
+    ])
+    def test_out_of_range_scale_names_its_literal(self, runner, args, message):
+        started = time.monotonic()
+        result = invoke(runner, *args)
+        assert time.monotonic() - started < 1.0
+        assert result.exit_code == 2
+        assert result.output == message
+
+    @pytest.mark.parametrize("q", [
+        "1.00000000001",  # s = 2^(10^11)
+        str(1 + Fraction(1, MAX_SCALE_LOG2 + 1)),  # s = 2^a, a one past the bound
+        str(1 + Fraction(MAX_SCALE_LOG2, MAX_SCALE_LOG2 + 1)),  # s = 2^(a/(a-1)), likewise
+    ])
+    def test_derived_scale_past_the_bound_exits_3(self, runner, q):
+        started = time.monotonic()
+        result = invoke(runner, "-q", q, "space-info")
+        assert time.monotonic() - started < 1.0
+        assert result.exit_code == 3
+        assert result.output == (
+            f"error: dimension gives s = 2^(a/b) with a over {MAX_SCALE_LOG2}: over the scale budget\n"
+        )
+
+    @pytest.mark.parametrize("b", [1, 3, MAX_SCALE_LOG2 - 1])
+    def test_derived_scale_at_the_bound_finishes(self, runner, b):
+        started = time.monotonic()
+        result = invoke(runner, "-q", str(1 + Fraction(b, MAX_SCALE_LOG2)), "space-info")
+        assert time.monotonic() - started < 1.0
+        assert "scale budget" not in result.output
+        # s = 2^(2^14) and D_8 for s = 2^(2^14/3) are too long to print
+        assert result.exit_code == (0 if b == MAX_SCALE_LOG2 - 1 else 3)
 
     @pytest.mark.parametrize("args", [
         ("-s", "3", "distance", "(0)@1e-4400", "(1)@1/2"),

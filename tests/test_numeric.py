@@ -4,7 +4,8 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from laakso import Interval, PrecisionExhausted, ScaleFactor, iroot
+from laakso import Interval, PrecisionExhausted, ResourceLimit, ScaleFactor, iroot
+from laakso.numeric import MAX_SCALE_LOG2
 
 
 def test_iroot_matches_defining_inequality():
@@ -49,7 +50,7 @@ class TestExactScale:
 class TestDerivedScale:
     def test_integer_power_collapses_to_exact(self):
         s = ScaleFactor.from_dimension(Fraction(3, 2))  # 2**2
-        assert s.is_exact and s.ratio == 4
+        assert s.is_exact and s.power == 4
         assert s.floor_s() == 4
         assert s.dimension == Fraction(3, 2)
 
@@ -93,6 +94,49 @@ class TestDerivedScale:
             if previous is not None:
                 assert enc.width <= previous
             previous = enc.width
+
+
+@pytest.mark.parametrize("s", [Fraction(7, 2), Fraction(11, 2)])
+def test_compare_spower_against_bignum_oracle_on_rational_scales(s):
+    # random rationals, exact powers of 1/s and their near neighbours, and
+    # ints, each passed as it is (an int is not turned into a Fraction)
+    scale = ScaleFactor.from_ratio(s)
+    mpmath.mp.dps = 80
+    value = mpmath.mpf(s.numerator) / s.denominator
+    rng = random.Random(17)
+    for _ in range(200):
+        i = rng.randint(1, 24)
+        exact = 1 / s ** i
+        for r in (Fraction(rng.randint(1, 10 ** 8), rng.randint(1, 10 ** 8)), exact,
+                  exact + Fraction(1, 10 ** 40), exact - Fraction(1, 10 ** 40),
+                  rng.randint(1, 100)):
+            expected = value ** (-i) - mpmath.mpf(r.numerator) / r.denominator
+            want = 0 if abs(expected) < mpmath.mpf(10) ** -60 else (1 if expected > 0 else -1)
+            assert scale.compare_spower(i, r) == want
+
+
+@pytest.mark.parametrize("s", [Fraction(3), Fraction(7, 2)])
+def test_rational_recip_enclosure_contains_and_is_narrow(s):
+    scale = ScaleFactor.from_ratio(s)
+    for bits in (1, 8, 16, 64, 128):
+        enc = scale.recip_enclosure(bits)
+        assert enc.contains(1 / s)
+        assert 0 < enc.width <= Fraction(1, 2 ** bits)  # 1/s is not dyadic
+
+
+def test_recip_enclosure_is_degenerate_where_the_reciprocal_is_dyadic():
+    scale = ScaleFactor.from_ratio(4)
+    for bits in (2, 8, 64):
+        assert scale.recip_enclosure(bits) == Interval(Fraction(1, 4), Fraction(1, 4))
+
+
+def test_derived_scale_bound_is_checked_before_the_power_is_built():
+    at_bound = ScaleFactor.from_dimension(1 + Fraction(1, MAX_SCALE_LOG2))
+    assert at_bound.power == 2 ** MAX_SCALE_LOG2
+    with pytest.raises(ResourceLimit):
+        ScaleFactor.from_dimension(1 + Fraction(1, MAX_SCALE_LOG2 + 1))
+    with pytest.raises(ResourceLimit):  # 2**(10**11) would take 12.5 GB
+        ScaleFactor.from_dimension(Fraction("1.00000000001"))
 
 
 def test_compare_spower_monotone_in_r():

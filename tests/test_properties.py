@@ -2,7 +2,8 @@
 
 Each example draws a space (a rational scale in (2, 6], or a dimension in
 [11/10, 19/10], with a valid branching override prefix) and points on it,
-then checks the metric axioms, that the geodesic's length is the distance,
+then checks that its first 100 branching entries keep the sandwich bound,
+the metric axioms, that the geodesic's length is the distance,
 that constructive paths are no shorter, that reversal changes nothing, and
 that two literals of the same point parse to the same canonical point.
 """
@@ -11,6 +12,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from conftest import sandwich_holds
 from laakso import (
     Address,
     InfeasibleSequence,
@@ -40,6 +42,14 @@ def spaces(draw) -> Space:
         return build(value, override)
     except InfeasibleSequence as exc:  # keep the valid part of the prefix
         return build(value, override[:exc.index - 1])
+
+
+@PROPERTY
+@given(space=spaces())
+def test_entries_keep_the_sandwich_bound(space):
+    # the greedy rule checks only the entry it chose; this checks the bound
+    # independently, on the override prefix and the greedy entries after it
+    assert all(sandwich_holds(space.mseq, i) for i in range(1, 101))
 
 
 @st.composite

@@ -76,7 +76,7 @@ class TestMSequence:
         assert s3.mseq.D(5) == 243
 
     def test_constant_four_from_dimension(self, s4):
-        assert s4.scale.ratio == 4
+        assert s4.scale.power == 4
         assert all(s4.mseq.entry(i) == 4 for i in range(1, 33))
 
     def test_sandwich_holds_to_64(self, s3, s4, q13):
