@@ -11,7 +11,6 @@ from .errors import (
     InvariantViolation,
     NotRepresentable,
     ParseError,
-    PrecisionExhausted,
     ResourceLimit,
 )
 from .fractal import (
@@ -45,7 +44,6 @@ from .wormhole import (
     last_in_interval,
     levels_in_range,
     nearest,
-    omega_value,
     snap,
 )
 
@@ -62,7 +60,6 @@ __all__ = [
     "ParseError",
     "PathRep",
     "Point",
-    "PrecisionExhausted",
     "ResourceLimit",
     "ScaleFactor",
     "Segment",
@@ -82,7 +79,6 @@ __all__ = [
     "levels_in_range",
     "minimal_interval",
     "nearest",
-    "omega_value",
     "parse_address",
     "path_length",
     "snap",

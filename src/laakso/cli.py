@@ -2,9 +2,8 @@
 
 Every fraction is emitted as an exact "p/q" string, never a float.  Exit
 codes: 0 on success, 2 on any parse/usage error, 3 on an infeasible
-branching override, an exhausted precision budget, a level listing or an
-oracle graph over its budget, a number too long to print, or a broken
-internal invariant.
+branching override, a scale, a level listing or an oracle graph over its
+budget, a number too long to print, or a broken internal invariant.
 """
 
 from __future__ import annotations
@@ -18,13 +17,7 @@ from fractions import Fraction
 import click
 
 from . import oracle as oracle_mod
-from .errors import (
-    InfeasibleSequence,
-    InvariantViolation,
-    ParseError,
-    PrecisionExhausted,
-    ResourceLimit,
-)
+from .errors import InfeasibleSequence, InvariantViolation, ParseError, ResourceLimit
 from .fractal import Address, format_address
 from .geodesic import PathRep, classify, connect, distance, geodesic_path, minimal_interval, path_length
 from .numeric import Interval
@@ -102,7 +95,7 @@ def _guarded(fn):
         except ParseError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
-        except (InfeasibleSequence, InvariantViolation, PrecisionExhausted, ResourceLimit) as exc:
+        except (InfeasibleSequence, InvariantViolation, ResourceLimit) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(3)
 

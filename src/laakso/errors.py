@@ -5,10 +5,6 @@ class ParseError(ValueError):
     """Malformed address, point literal or fraction text."""
 
 
-class PrecisionExhausted(ArithmeticError):
-    """An interval refinement hit its bit cap before certifying a result."""
-
-
 class InfeasibleSequence(ArithmeticError):
     """No admissible branching-sequence entry exists at some index.
 

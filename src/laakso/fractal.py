@@ -1,7 +1,7 @@
 """Binary addresses on the attractor of the two-branch contraction system.
 
 A point of the attractor is an infinite 0/1 string read left to right; the
-first digit selects the coarse half, later digits refine.  This module
+first digit selects the coarse half, later digits ever finer cells.  This module
 represents the eventually periodic strings as a finite prefix plus a
 repeating cycle, normalised so that equal infinite strings have equal
 representations and equality is a tuple comparison.
@@ -15,8 +15,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterator, Union
 
-from .errors import ParseError
-from .numeric import Interval, ScaleFactor, refine
+from .errors import InvariantViolation, ParseError
+from .numeric import Interval, ScaleFactor
 
 
 @dataclass(frozen=True)
@@ -136,45 +136,47 @@ def difference_orders(a: Address, b: Address) -> DifferenceOrders:
     return DifferenceOrders(head, start, period, offsets)
 
 
-def _series_value(a: Address, u):
+def _series_value(a: Address, u: Fraction) -> Fraction:
     """Evaluate the coordinate series at u = 1/s.
 
     value = (1-u) * (sum_i d_i u**(i-1) + u**L * C / (1 - u**m)) with C the
-    one-cycle polynomial; works for Fraction and Interval alike.
+    one-cycle polynomial sum_j c_j u**j.
     """
     acc = Fraction(0)
     power = Fraction(1)  # u**(i-1)
     for d in a.prefix:
         if d:
-            acc = acc + power
-        power = power * u
+            acc += power
+        power *= u
     cyc = Fraction(0)
-    cyc_power = power  # u**L
-    u_cycle = Fraction(1)
+    u_cycle = Fraction(1)  # u**j
     for d in a.cycle:
         if d:
-            cyc = cyc + cyc_power
-        cyc_power = cyc_power * u
-        u_cycle = u_cycle * u
-    total = acc
-    if not (isinstance(cyc, Fraction) and cyc == 0):
-        total = total + cyc / (1 - u_cycle)
-    return (1 - u) * total
+            cyc += u_cycle
+        u_cycle *= u
+    return (1 - u) * (acc + power * cyc / (1 - u_cycle))
 
 
 def value(a: Address, scale: ScaleFactor, bits: int = 64) -> Union[Fraction, Interval]:
     """Horizontal coordinate of the address on the attractor.
 
     Exact Fraction for a rational scale; otherwise a certified enclosure of
-    width at most 2**-bits.
+    width at most 2**-bits.  The series v(u) has |v'(u)| <= 2/(1-u)**2 for
+    digits 0 and 1, so its value at the lower end u of an enclosure [u, hi]
+    of 1/s moves by at most 2*(hi-u)/(1-hi)**2 on the way to 1/s.  As
+    hi <= 1/2 (s > 2), an enclosure of 1/s of width 2**-(bits+6) gives a
+    result at most 2**-(bits+2) wide.
     """
     if scale.is_exact:
         return _series_value(a, 1 / scale.power)
-
-    def compute(work_bits):
-        return _series_value(a, scale.recip_enclosure(work_bits))
-
-    return refine(compute, Fraction(1, 2 ** bits), start_bits=max(64, bits + 8))
+    enclosure = scale.recip_enclosure(bits + 6)
+    u, hi = enclosure.lo, enclosure.hi
+    centre = _series_value(a, u)
+    slack = 2 * (hi - u) / (1 - hi) ** 2
+    result = Interval(centre - slack, centre + slack)
+    if result.width > Fraction(1, 1 << bits):
+        raise InvariantViolation("coordinate enclosure wider than its bit budget")
+    return result
 
 
 _ADDRESS_RE = re.compile(r"^([01]*)(?:\(([01]+)\))?$")

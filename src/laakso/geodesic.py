@@ -187,21 +187,17 @@ def _limit(ms: MSequence, diffs: DifferenceOrders, order: int, h: Fraction,
     if not ms.scale.is_integer:
         far = h + Fraction(1 if up else -1, ms.D(order))
         return Interval(h, min(bound, far)) if up else Interval(max(bound, far), h)
-    step = ms.n
+    # past floor the orders repeat with the period and each D_k gains
+    # n**period, so one period window times the geometric ratio covers them
     floor = max(order, len(ms.override), diffs.start - 1)
+    growth = ms.n ** diffs.period
+    ratio = Fraction(growth, growth - 1)
     rest = Fraction(0)
     for k in diffs:
-        if k > floor:
+        if k > floor + diffs.period:
             break
         if k > order:
-            rest += Fraction(1, ms.D(k))
-    period = diffs.period
-    ratio = Fraction(step ** period, step ** period - 1)
-    for offset in diffs.offsets:
-        first = diffs.start + offset
-        if first <= floor:
-            first += ((floor - first) // period + 1) * period
-        rest += Fraction(1, ms.D(first)) * ratio
+            rest += Fraction(1, ms.D(k)) * (ratio if k > floor else 1)
     omega = h + rest if up else h - rest
     return omega if (omega <= bound if up else omega >= bound) else None
 
@@ -407,7 +403,7 @@ def connect(space: Space, x: Point, y: Point, strategy: str = NEAREST, depth: in
         return PathRep(x, y, (Segment(x.address, x.height, x.height),))
     ms = space.mseq
     start_address, end_address = x.address, y.address
-    # start and end from the identification-compatible preimages
+    # start and end from the identification-compatible representatives
     level = classify_height(ms, x.height)
     if level is not None and start_address.digit(level.order) != end_address.digit(level.order):
         start_address = start_address.switch(level.order)

@@ -4,22 +4,20 @@ The scale is either a rational number greater than 2 or, when the space is
 configured by its dimension Q in (1,2), the generally irrational value
 s = 2**(1/(Q-1)).  Both are held as one fact, s**root = power with power a
 rational and root = 1 for a rational scale, so every ordering decision of
-s**-i against a rational is one comparison of two integers.  Certified
-rational enclosures are available for the quantities that are genuinely
-irrational (the horizontal coordinates of points, limit heights of infinite
-paths).
+s**-i against a rational is one comparison of two integers.  The quantities
+that are genuinely irrational (the horizontal coordinates of points, limit
+heights of infinite paths) are certified rational enclosures: an ``Interval``
+with exact endpoints that adds and subtracts, and the enclosure of 1/s that
+every coordinate bound starts from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
-from .errors import PrecisionExhausted, ResourceLimit
-
-#: Bit ceiling for certified enclosure refinement.
-MAX_BITS = 4096
+from .errors import ResourceLimit
 
 #: Largest a of a derived scale s = 2**(a/b), checked before 2**a is built.
 #: With b >= 2 it keeps n = floor(s) below 2**8192, under 2 500 digits.
@@ -55,20 +53,13 @@ def _pow(x: int, i: int) -> int:
     return (x >> twos) ** i << twos * i
 
 
-def _as_bounds(value: Union["Interval", Fraction, int]) -> tuple[Fraction, Fraction]:
-    if isinstance(value, Interval):
-        return value.lo, value.hi
-    f = Fraction(value)
-    return f, f
-
-
 @dataclass(frozen=True)
 class Interval:
     """Closed interval with exact rational endpoints.
 
-    Arithmetic is outward-exact: endpoints are Fractions, so no rounding is
-    introduced by the operations themselves; all width comes from the
-    operands.
+    Sums and differences are outward-exact: endpoints are Fractions, so no
+    rounding is introduced by the operations themselves; all width comes
+    from the operands.
     """
 
     lo: Fraction
@@ -92,7 +83,7 @@ class Interval:
         return self.lo <= Fraction(value) <= self.hi
 
     def __add__(self, other):
-        lo, hi = _as_bounds(other)
+        lo, hi = (other.lo, other.hi) if isinstance(other, Interval) else (other, other)
         return Interval(self.lo + lo, self.hi + hi)
 
     __radd__ = __add__
@@ -105,27 +96,6 @@ class Interval:
 
     def __rsub__(self, other):
         return (-self) + other
-
-    def __mul__(self, other):
-        lo, hi = _as_bounds(other)
-        products = (self.lo * lo, self.lo * hi, self.hi * lo, self.hi * hi)
-        return Interval(min(products), max(products))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        lo, hi = _as_bounds(other)
-        if lo <= 0 <= hi:
-            raise ZeroDivisionError("interval division by a range containing zero")
-        quotients = (self.lo / lo, self.lo / hi, self.hi / lo, self.hi / hi)
-        return Interval(min(quotients), max(quotients))
-
-    def __rtruediv__(self, other):
-        lo, hi = _as_bounds(other)
-        if self.lo <= 0 <= self.hi:
-            raise ZeroDivisionError("interval division by a range containing zero")
-        quotients = (lo / self.lo, lo / self.hi, hi / self.lo, hi / self.hi)
-        return Interval(min(quotients), max(quotients))
 
     def __abs__(self):
         if self.lo >= 0:
@@ -214,19 +184,3 @@ class ScaleFactor:
         if self.root == 1:
             return str(self.power)
         return f"2^({self.power.numerator.bit_length() - 1}/{self.root})"
-
-
-def refine(compute, target_width: Fraction, start_bits: int = 64):
-    """Run ``compute(bits)`` with doubling precision until the interval it
-    returns is narrower than ``target_width``; raise on hitting the cap."""
-    bits = start_bits
-    while True:
-        result = compute(bits)
-        if not isinstance(result, Interval) or result.width <= target_width:
-            return result
-        if bits >= MAX_BITS:
-            raise PrecisionExhausted(
-                f"enclosure still {result.width} wide at {bits} bits "
-                f"(cap {MAX_BITS}); a near-tie needs a higher cap"
-            )
-        bits *= 2

@@ -64,17 +64,21 @@ class ApproxGraph:
         return (1 << self.depth) * len(self.heights)
 
 
-def _check_budget(depth: int, rows: int, max_vertices: int) -> None:
-    if (1 << depth) * rows > max_vertices:
-        raise ResourceLimit(f"{(1 << depth) * rows} vertices exceed the budget of {max_vertices}")
+#: Most vertices ``build`` assembles.
+MAX_VERTICES = 1_000_000
 
 
-def build(space: Space, depth: int, extra_heights=(), max_vertices: int = 1_000_000) -> ApproxGraph:
+def _check_budget(depth: int, rows: int) -> None:
+    if (1 << depth) * rows > MAX_VERTICES:
+        raise ResourceLimit(f"{(1 << depth) * rows} vertices exceed the budget of {MAX_VERTICES}")
+
+
+def build(space: Space, depth: int, extra_heights=()) -> ApproxGraph:
     """Assemble the depth-K graph; the grid always resolves orders <= K."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     grid_den = space.mseq.D(depth)
-    _check_budget(depth, grid_den + 1, max_vertices)  # the grid alone, before it is built
+    _check_budget(depth, grid_den + 1)  # the grid alone, before it is built
     heights = {Fraction(j, grid_den) for j in range(grid_den + 1)}
     for h in extra_heights:
         h = Fraction(h)
@@ -82,7 +86,7 @@ def build(space: Space, depth: int, extra_heights=(), max_vertices: int = 1_000_
             raise ValueError(f"extra height {h} outside [0, 1]")
         heights.add(h)
     ordered = tuple(sorted(heights))
-    _check_budget(depth, len(ordered), max_vertices)
+    _check_budget(depth, len(ordered))
     orders = []
     for h in ordered:
         level = classify_height(space.mseq, h)

@@ -93,21 +93,20 @@ class Space:
             raise ParseError(f"height {height_text!r} in {text!r} outside [0, 1]")
         return self.point(address, height)
 
-    def preimages(self, p: Point) -> tuple[tuple[Address, Fraction], ...]:
-        """The one or two (address, height) pairs projecting to p."""
-        level = classify_height(self.mseq, p.height)
-        if level is None:
-            return ((p.address, p.height),)
-        return (
-            (p.address, p.height),
-            (p.address.switch(level.order), p.height),
-        )
-
     # -- level queries ---------------------------------------------------
 
     def wormholes(self, order: int, lo=0, hi=1) -> list[WormholeLevel]:
-        """The order-k levels inside [lo, hi], ascending, at most MAX_LISTED_LEVELS."""
-        if level_count(self.mseq, order, lo, hi) > MAX_LISTED_LEVELS:
+        """The order-k levels inside [lo, hi], ascending, at most MAX_LISTED_LEVELS.
+
+        Before D_k is built, D_k >= n**k bounds the count from below: a
+        width w of [lo, hi] inside [0, 1] holds at least w * n**k / 2 - 4
+        levels, compared through bit lengths so that n**k is never formed.
+        """
+        width = Fraction(min(hi, 1) - max(lo, 0))
+        # with width = p/q: p * n**k >= 2**low, and 2 * (MAX_LISTED_LEVELS + 4) * q < 2**high
+        low = width.numerator.bit_length() - 1 + order * (self.n.bit_length() - 1)
+        high = (2 * (MAX_LISTED_LEVELS + 4) * width.denominator).bit_length()
+        if width > 0 and low >= high or level_count(self.mseq, order, lo, hi) > MAX_LISTED_LEVELS:
             # the count itself is not printed: at high orders it has thousands of digits
             raise ResourceLimit(
                 f"more than {MAX_LISTED_LEVELS} order-{order} levels: over the listing budget"

@@ -9,7 +9,7 @@ are never enumerated unless a caller explicitly iterates a range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterator, Optional
@@ -104,25 +104,14 @@ class MSequence:
 class WormholeLevel:
     """A single identification height: value = numerator / D_order.
 
-    The order and the numerator fix the level.  Its mixed-radix digits
-    (most significant first, radices m_1..m_k) are derived on request; the
-    last digit is never zero, which keeps level sets of different orders
+    The order and the numerator fix the level.  The numerator is never a
+    multiple of m_order, which keeps level sets of different orders
     disjoint.
     """
 
     order: int
     numerator: int
     value: Fraction
-    mseq: MSequence = field(compare=False, repr=False)
-
-    @property
-    def digits(self) -> tuple[int, ...]:
-        digits = []
-        rest = self.numerator
-        for j in range(self.order, 0, -1):
-            rest, digit = divmod(rest, self.mseq.entry(j))
-            digits.append(digit)
-        return tuple(reversed(digits))
 
     def __str__(self):
         return f"{self.value} (order {self.order})"
@@ -130,7 +119,7 @@ class WormholeLevel:
 
 def _level(ms: MSequence, k: int, numerator: int) -> WormholeLevel:
     """The order-k level with a numerator the caller knows to be valid."""
-    return WormholeLevel(k, numerator, Fraction(numerator, ms.D(k)), ms)
+    return WormholeLevel(k, numerator, Fraction(numerator, ms.D(k)))
 
 
 def level_from_numerator(ms: MSequence, k: int, numerator: int) -> WormholeLevel:
@@ -142,22 +131,6 @@ def level_from_numerator(ms: MSequence, k: int, numerator: int) -> WormholeLevel
     if numerator % ms.entry(k) == 0:
         raise ValueError(f"numerator {numerator} is a multiple of m_{k}")
     return _level(ms, k, numerator)
-
-
-def omega_value(ms: MSequence, digits) -> WormholeLevel:
-    """The level with the given mixed-radix digits (last digit nonzero)."""
-    digits = tuple(int(d) for d in digits)
-    if not digits:
-        raise ValueError("at least one digit required")
-    numerator = 0
-    for j, d in enumerate(digits, start=1):
-        radix = ms.entry(j)
-        if not 0 <= d < radix:
-            raise ValueError(f"digit {d} at position {j} outside 0..{radix - 1}")
-        numerator = numerator * radix + d
-    if digits[-1] == 0:
-        raise ValueError("last digit must be nonzero")
-    return _level(ms, len(digits), numerator)
 
 
 def classify_height(ms: MSequence, y) -> Optional[WormholeLevel]:

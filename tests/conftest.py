@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from laakso import Address, MSequence, Space
+from laakso import Address, MSequence, Point, Space, WormholeLevel, classify_height
+from laakso.wormhole import level_from_numerator
 
 
 @pytest.fixture(scope="session")
@@ -48,3 +49,36 @@ def random_point(space: Space, rng: random.Random, max_prefix: int = 6,
                  height_denominator: int = 81):
     height = Fraction(rng.randint(0, height_denominator), height_denominator)
     return space.point(random_address(rng, max_prefix), height)
+
+
+def omega_value(ms: MSequence, digits) -> WormholeLevel:
+    """The level with the given mixed-radix digits (radices m_1..m_k, last digit nonzero).
+
+    A zero last digit makes the numerator a multiple of m_k, which
+    ``level_from_numerator`` rejects, as it rejects an empty digit list.
+    """
+    numerator = 0
+    for j, d in enumerate(digits, start=1):
+        radix = ms.entry(j)
+        if not 0 <= d < radix:
+            raise ValueError(f"digit {d} at position {j} outside 0..{radix - 1}")
+        numerator = numerator * radix + d
+    return level_from_numerator(ms, len(digits), numerator)
+
+
+def level_digits(ms: MSequence, level: WormholeLevel) -> tuple[int, ...]:
+    """The mixed-radix digits of a level's numerator, most significant first."""
+    digits = []
+    rest = level.numerator
+    for j in range(level.order, 0, -1):
+        rest, digit = divmod(rest, ms.entry(j))
+        digits.append(digit)
+    return tuple(reversed(digits))
+
+
+def preimages(space: Space, p: Point) -> tuple[tuple[Address, Fraction], ...]:
+    """The one or two (address, height) pairs projecting to p."""
+    level = classify_height(space.mseq, p.height)
+    if level is None:
+        return ((p.address, p.height),)
+    return ((p.address, p.height), (p.address.switch(level.order), p.height))

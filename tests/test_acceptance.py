@@ -25,7 +25,7 @@ from laakso import (
 )
 from laakso.geodesic import INVERSION, MONOTONE_DOWN, MONOTONE_UP
 from laakso.oracle import agreement_check, build, point_at, shortest_paths, _vertex
-from conftest import random_point, sandwich_holds
+from conftest import level_digits, random_point, sandwich_holds
 
 
 @pytest.fixture(scope="module")
@@ -42,12 +42,12 @@ def _report(name: str, started: float, budget: float):
 def test_criterion_1_wormhole_tables(s3):
     started = time.monotonic()
     assert [w.value for w in s3.wormholes(1)] == [Fraction(1, 3), Fraction(2, 3)]
-    order2 = {w.digits: w.value for w in s3.wormholes(2)}
+    order2 = {level_digits(s3.mseq, w): w.value for w in s3.wormholes(2)}
     assert order2 == {
         (0, 1): Fraction(1, 9), (0, 2): Fraction(2, 9), (1, 1): Fraction(4, 9),
         (1, 2): Fraction(5, 9), (2, 1): Fraction(7, 9), (2, 2): Fraction(8, 9),
     }
-    order3 = {w.digits: w.value for w in s3.wormholes(3)}
+    order3 = {level_digits(s3.mseq, w): w.value for w in s3.wormholes(3)}
     assert len(order3) == 18
     assert order3 == {
         (0, 0, 1): Fraction(1, 27), (0, 0, 2): Fraction(2, 27), (0, 1, 1): Fraction(4, 27),

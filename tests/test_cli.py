@@ -173,6 +173,19 @@ class TestWormholes:
         assert "over the listing budget" in result.output
         assert time.monotonic() - started < 1
 
+    @pytest.mark.parametrize("order", ["20000", str(10 ** 12)])
+    def test_high_order_exits_3_before_the_sequence_is_built(self, runner, order):
+        started = time.monotonic()
+        result = invoke(runner, "-s", "7/2", "wormholes", "--order", order)
+        assert time.monotonic() - started < 1
+        assert result.exit_code == 3
+        assert result.output == f"error: more than 200000 order-{order} levels: over the listing budget\n"
+
+    def test_narrow_high_order_range_lists(self, runner):
+        result = invoke(runner, "-s", "3", "wormholes", "--order", "20", "--to", "1e-8")
+        expected = [Fraction(numerator, 3 ** 20) for numerator in range(1, 35) if numerator % 3]
+        assert [Fraction(v) for v in json.loads(result.output)] == expected
+
 
 class TestDistance:
     def test_worked_example(self, runner):

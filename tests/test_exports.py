@@ -1,0 +1,73 @@
+"""Every public name has a caller: no export exists only for the tests.
+
+A name in ``laakso.__all__`` passes when a module of ``src/laakso`` other
+than ``__init__.py`` loads it outside its own top-level definition, or when
+``bench/`` names it (as an identifier, an attribute or a string, so that a
+function the benchmark wraps by name counts).
+"""
+
+import ast
+from pathlib import Path
+
+import laakso
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCE = ROOT / "src" / "laakso"
+
+
+def source_uses(sources: dict[str, str]) -> set[str]:
+    """Names some module binds at top level and loads outside their own definition.
+
+    A module binds a name by defining or importing it; a load of a name the
+    module does not bind is a local variable that happens to share it.
+    """
+    used = set()
+    for source in sources.values():
+        body = ast.parse(source).body
+        bound = {getattr(statement, "name", None) for statement in body}
+        bound |= {alias.asname or alias.name for statement in body
+                  if isinstance(statement, ast.ImportFrom) for alias in statement.names}
+        for statement in body:
+            defined = getattr(statement, "name", None)
+            used |= {node.id for node in ast.walk(statement)
+                     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                     and node.id in bound and node.id != defined}
+    return used
+
+
+def bench_mentions(sources: list[str]) -> set[str]:
+    """Identifiers, attributes, imported names and strings anywhere in the sources."""
+    found = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.alias):
+                found.add(node.name.rsplit(".", 1)[-1])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                found.add(node.value)
+    return found
+
+
+def unused_exports(exports, sources: dict[str, str], bench: list[str]) -> list[str]:
+    callers = source_uses({name: text for name, text in sources.items() if name != "__init__.py"})
+    callers |= bench_mentions(bench)
+    return sorted(name for name in exports if name not in callers)
+
+
+def test_every_export_has_a_caller():
+    sources = {path.name: path.read_text() for path in SOURCE.glob("*.py")}
+    bench = [path.read_text() for path in (ROOT / "bench").glob("*.py")]
+    assert unused_exports(laakso.__all__, sources, bench) == []
+
+
+def test_an_export_nothing_calls_is_caught():
+    sources = {
+        "one.py": "def helper(x):\n    return helper(x - 1)\n\ndef used():\n    return 1\n",
+        "two.py": "from .one import used\n\ndef f(helper):\n    return used(helper)\n",
+        "__init__.py": "from .one import helper, used\nhelper(1)\n",
+    }
+    assert unused_exports(["helper", "used"], sources, []) == ["helper"]
+    assert unused_exports(["helper"], sources, ['TARGETS = (("one", "helper"),)']) == []

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from laakso import (
     Address,
     ParseError,
+    ScaleFactor,
     difference_orders,
     format_address,
     parse_address,
@@ -166,6 +167,27 @@ class TestValue:
             assert enc.width <= Fraction(1, 2 ** 48)
             assert mpmath.mpf(enc.lo.numerator) / enc.lo.denominator <= truth + mpmath.mpf(10) ** -30
             assert truth - mpmath.mpf(10) ** -30 <= mpmath.mpf(enc.hi.numerator) / enc.hi.denominator
+
+    @pytest.mark.parametrize("q", [Fraction(13, 10), Fraction(7, 5), Fraction(99, 50), Fraction(1999, 1000)])
+    def test_enclosure_contains_the_coordinate_within_its_bit_budget(self, q):
+        # the direct series, 700 terms at 600 bits, against every enclosure;
+        # Q near 2 puts 1/s just under 1/2, where the derivative bound is loosest
+        import mpmath
+
+        scale = ScaleFactor.from_dimension(q)
+        rng = random.Random(11)
+        addresses = [ZERO, ONE, B101, Address((1,) * 12, (0, 1))]
+        addresses += [random_address(rng, max_prefix=12, max_cycle=6) for _ in range(2)]
+        with mpmath.workprec(600):
+            u = mpmath.mpf(2) ** (-mpmath.mpf(q.denominator) / (q.numerator - q.denominator))
+            for a in addresses:
+                truth = sum(a.digit(i) * (1 - u) * u ** (i - 1) for i in range(1, 701))
+                for bits in [*range(10), *range(48, 257, 32), 256]:
+                    enc = value(a, scale, bits)
+                    assert enc.width <= Fraction(1, 2 ** bits)
+                    lo = mpmath.mpf(enc.lo.numerator) / enc.lo.denominator
+                    hi = mpmath.mpf(enc.hi.numerator) / enc.hi.denominator
+                    assert lo <= truth <= hi
 
     def test_monotone_in_lexicographic_order(self, s3):
         rng = random.Random(8)

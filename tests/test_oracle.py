@@ -45,9 +45,10 @@ class TestBuild:
         assert edges[("0:1/5", "0:1/3")] == Fraction(1, 3) - Fraction(1, 5)
         assert edges[("0:1/3", "1:1/3")] == 0
 
-    def test_vertex_budget(self, s3):
+    def test_vertex_budget(self, s3, monkeypatch):
+        monkeypatch.setattr("laakso.oracle.MAX_VERTICES", 1000)
         with pytest.raises(ResourceLimit):
-            build(s3, 10, max_vertices=1000)
+            build(s3, 10)
 
     def test_vertex_budget_checked_before_the_grid(self, s3, monkeypatch):
         # 2**20 columns by 3**20 + 1 grid rows: building the grid first would
@@ -55,9 +56,10 @@ class TestBuild:
         def no_heights(*args):
             raise AssertionError("grid built before the budget check")
 
+        monkeypatch.setattr("laakso.oracle.MAX_VERTICES", 1000)
         monkeypatch.setattr("laakso.oracle.Fraction", no_heights)
         with pytest.raises(ResourceLimit, match="budget of 1000$"):
-            build(s3, 20, max_vertices=1000)
+            build(s3, 20)
 
     def test_integer_units(self, s3):
         graph = build(s3, 2, extra_heights=[Fraction(1, 5)])

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from laakso import Interval, ParseError, Space, parse_address, value
-from conftest import random_address
+from laakso import Interval, ParseError, ResourceLimit, Space, difference_orders, parse_address, value
+from conftest import omega_value, preimages, random_address
 
 ZERO = "(0)"
 
@@ -34,8 +34,6 @@ class TestCanonicalize:
             a = random_address(rng)
             k = rng.randint(1, 5)
             digits = [rng.randint(0, 2) for _ in range(k - 1)] + [rng.randint(1, 2)]
-            from laakso import omega_value
-
             y = omega_value(s3.mseq, digits).value
             p = s3.point(a, y)
             assert s3.point(p.address, p.height) == p
@@ -54,14 +52,14 @@ class TestCanonicalize:
 
 class TestPreimages:
     def test_examples(self, s3):
-        only = s3.preimages(s3.point(ZERO, Fraction(1, 5)))
+        only = preimages(s3, s3.point(ZERO, Fraction(1, 5)))
         assert len(only) == 1
 
-        pair = s3.preimages(s3.point(ZERO, Fraction(1, 3)))
+        pair = preimages(s3, s3.point(ZERO, Fraction(1, 3)))
         assert {addr for addr, _ in pair} == {parse_address("(0)"), parse_address("1(0)")}
         assert {h for _, h in pair} == {Fraction(1, 3)}
 
-        pair = s3.preimages(s3.point(ZERO, Fraction(5, 9)))
+        pair = preimages(s3, s3.point(ZERO, Fraction(5, 9)))
         assert {addr for addr, _ in pair} == {parse_address("(0)"), parse_address("01(0)")}
 
     def test_preimages_differ_at_the_level_order(self, s3):
@@ -69,11 +67,9 @@ class TestPreimages:
         for _ in range(200):
             k = rng.randint(1, 5)
             digits = [rng.randint(0, 2) for _ in range(k - 1)] + [rng.randint(1, 2)]
-            from laakso import difference_orders, omega_value, value
-
             y = omega_value(s3.mseq, digits).value
             p = s3.point(random_address(rng), y)
-            (a1, _), (a2, _) = s3.preimages(p)
+            (a1, _), (a2, _) = preimages(s3, p)
             diffs = difference_orders(a1, a2)
             assert diffs.is_finite and diffs.head == (k,)
             assert abs(value(a1, s3.scale) - value(a2, s3.scale)) == Fraction(2, 3 ** k)
@@ -95,6 +91,14 @@ class TestEmbed:
         horizontal, vertical = embed(q13, "1(0)@1/2")
         assert isinstance(horizontal, Interval)
         assert vertical == Fraction(1, 2)
+
+
+class TestWormholes:
+    def test_budget_decided_before_the_sequence_grows(self):
+        space = Space.from_ratio(Fraction(7, 2))
+        with pytest.raises(ResourceLimit, match="over the listing budget"):
+            space.wormholes(2000)
+        assert space.mseq._products == [1]  # no entry was chosen
 
 
 class TestPointLiterals:
