@@ -3,7 +3,9 @@
 Named cases run through the CLI in both argument orders.  Random cases draw
 seeded pairs on three spaces and on two spaces with a branching override,
 and hash the distance payload, the depth-8 geodesic and both connect
-strategies, serialised as the CLI serialises them.  Sequence cases hash the
+strategies, serialised as the CLI serialises them.  Tail cases do the same
+for pairs with cycles up to 24 digits, half of them sharing an infinite
+tail behind different prefixes so that they differ at finitely many orders.  Sequence cases hash the
 printed scale, n and the first 200 branching entries of seeded scales and
 dimensions.  Run this file as a script to record ``golden_sha256.txt`` and
 ``golden_sequences_sha256.txt`` again after an intended change of output.
@@ -17,8 +19,8 @@ from pathlib import Path
 
 from click.testing import CliRunner
 
-from conftest import random_point
-from laakso import Space, connect, distance, geodesic_path, minimal_interval, path_length
+from conftest import random_address, random_point
+from laakso import Address, Space, connect, distance, geodesic_path, minimal_interval, path_length
 from laakso.cli import _path_json, _value_json, main
 
 DATA = Path(__file__).with_name("golden_sha256.txt")
@@ -100,6 +102,33 @@ def _random_cases():
             case = f"{label} pair {index}: distance, geodesic, path x2{at} {x} {y}"
             yield case, _digest(_pair_json(space, x, y, depths))
 
+TAIL_SPACES = [("-s", "3"), ("-s", "7/2")]
+TAIL_PAIRS = 50  # per space; the odd ones share a tail
+
+
+def _tail_address(rng: random.Random, a: Address) -> Address:
+    """a's infinite tail behind a random prefix, its cycle rotated to line up."""
+    prefix = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 10)))
+    turn = (len(prefix) - len(a.prefix)) % len(a.cycle)
+    return Address(prefix, a.cycle[turn:] + a.cycle[:turn])
+
+
+def _tail_cases():
+    for seed, (flag, value) in enumerate(TAIL_SPACES):
+        space = Space.from_ratio(Fraction(value))
+        rng = random.Random(9100 + seed)
+        denominators = (81, space.mseq.D(3))
+        for index in range(TAIL_PAIRS):
+            x = y = None
+            while x == y:
+                a = random_address(rng, max_prefix=8, max_cycle=24)
+                b = _tail_address(rng, a) if index % 2 else random_address(rng, 8, 24)
+                x, y = (space.point(address, Fraction(rng.randint(0, den), den))
+                        for address, den in ((a, rng.choice(denominators)),
+                                             (b, rng.choice(denominators))))
+            case = f"{flag} {value} tail pair {index}: distance, geodesic, path x2 {x} {y}"
+            yield case, _digest(_pair_json(space, x, y))
+
 
 def _sequence_spaces():
     """Rational scales in (2, 9], dimensions in (1, 2) and two overrides."""
@@ -145,14 +174,14 @@ def test_sequences_match_recorded():
 
 def test_outputs_match_recorded():
     recorded = _recorded()
-    computed = dict([*_cli_cases(), *_random_cases()])
+    computed = dict([*_cli_cases(), *_random_cases(), *_tail_cases()])
     differ = [case for case, digest in computed.items() if recorded.get(case) != digest]
     assert not differ, f"{len(differ)} cases differ, first: " + "; ".join(differ[:5])
     assert set(recorded) == set(computed), "recorded cases no longer generated"
 
 
 if __name__ == "__main__":
-    for data, cases in ((DATA, [*_cli_cases(), *_random_cases()]),
+    for data, cases in ((DATA, [*_cli_cases(), *_random_cases(), *_tail_cases()]),
                         (SEQUENCE_DATA, list(_sequence_cases()))):
         data.write_text("".join(f"{digest}  {case}\n" for case, digest in cases))
         print(f"recorded {len(cases)} cases in {data}")
