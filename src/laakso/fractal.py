@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import takewhile
 from math import lcm
 from typing import Iterator, Union
 
@@ -88,52 +89,49 @@ class Address:
 class DifferenceOrders:
     """The increasing set of digit positions at which two addresses differ.
 
-    Positions below ``start`` are listed explicitly in ``head``; from
-    ``start`` on the pattern repeats with the given period, differing at the
-    listed offsets.  The set is finite exactly when ``offsets`` is empty.
+    From ``start`` on both strings are purely periodic, so the set repeats
+    with ``period``, the least common multiple of the cycle lengths.
+    Iterating reads digits up to the end of the first period window (only
+    up to ``start`` when the set is finite) and yields each differing
+    position as it is found; later windows repeat the first one shifted.
     """
 
-    head: tuple[int, ...]
+    a: Address
+    b: Address
     start: int
     period: int
-    offsets: tuple[int, ...]
+    is_finite: bool
 
     @property
-    def is_finite(self) -> bool:
-        return not self.offsets
+    def head(self) -> tuple[int, ...]:
+        """The positions below ``start``: the whole set when it is finite."""
+        return tuple(takewhile(lambda k: k < self.start, self))
 
     def __iter__(self) -> Iterator[int]:
-        yield from self.head
-        if not self.offsets:
-            return
-        block = 0
-        while True:
-            for off in self.offsets:
-                yield self.start + off + block
-            block += self.period
-
-    def first(self, count: int) -> list[int]:
-        out = []
-        for order in self:
-            if len(out) >= count:
-                break
-            out.append(order)
-        return out
+        window = []
+        for k in range(1, self.start + (0 if self.is_finite else self.period)):
+            if self.a.digit(k) != self.b.digit(k):
+                yield k
+                if k >= self.start:
+                    window.append(k)
+        shift = self.period
+        while window:  # empty exactly when the set is finite
+            for k in window:
+                yield k + shift
+            shift += self.period
 
 
 def difference_orders(a: Address, b: Address) -> DifferenceOrders:
-    """All positions where the expansions of a and b disagree.
+    """All positions where the expansions of a and b disagree, read lazily.
 
-    Beyond the longer prefix both strings are purely periodic, so one least
-    common multiple of the cycle lengths decides the whole tail.
+    Canonical cycles are primitive and least rotations, so the tails agree
+    exactly when the cycles are equal and in phase: finiteness is decided
+    without reading a digit.
     """
-    start = max(len(a.prefix), len(b.prefix)) + 1
-    period = lcm(len(a.cycle), len(b.cycle))
-    head = tuple(i for i in range(1, start) if a.digit(i) != b.digit(i))
-    offsets = tuple(
-        off for off in range(period) if a.digit(start + off) != b.digit(start + off)
-    )
-    return DifferenceOrders(head, start, period, offsets)
+    m = len(a.cycle)
+    in_phase = a.cycle == b.cycle and (len(a.prefix) - len(b.prefix)) % m == 0
+    return DifferenceOrders(a, b, max(len(a.prefix), len(b.prefix)) + 1,
+                            lcm(m, len(b.cycle)), in_phase)
 
 
 def _series_value(a: Address, u: Fraction) -> Fraction:

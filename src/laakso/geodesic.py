@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 from typing import Optional, Union
 
@@ -136,9 +137,8 @@ def minimal_interval(space: Space, x: Point, y: Point) -> MinimalInterval:
         raise ValueError("minimal interval undefined for equal points")
     ms = space.mseq
     lo0, hi0 = sorted((x.height, y.height))
-    orders = difference_orders(x.address, y.address).first(2)
     candidates: list[tuple[Fraction, Fraction, dict]] = [(lo0, hi0, {})]
-    for order in orders:
+    for order in islice(difference_orders(x.address, y.address), 2):
         grown: list[tuple[Fraction, Fraction, dict]] = []
         for a, b, witnesses in candidates:
             inside = first_in_interval(ms, order, a, b)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from .errors import ResourceLimit
@@ -172,6 +173,7 @@ class ScaleFactor:
         right = _pow(p, i) * _pow(x, self.root)
         return (left > right) - (left < right)
 
+    @lru_cache(maxsize=64)
     def recip_enclosure(self, bits: int) -> Interval:
         """Certified enclosure of 1/s with width at most 2**-bits, from floor(2**bits / s)."""
         p, q = self.power.numerator, self.power.denominator

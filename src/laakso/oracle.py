@@ -109,17 +109,11 @@ def _vertex(graph: ApproxGraph, p: Point) -> tuple[int, int]:
     return _column(graph, p.address), index
 
 
-def _check_pair(graph: ApproxGraph, x: Point, y: Point) -> None:
-    diffs = difference_orders(x.address, y.address)
-    if not diffs.is_finite or any(order > graph.depth for order in diffs.head):
-        raise NotRepresentable(
-            f"addresses differ beyond depth {graph.depth}: not representable"
-        )
-
-
 def graph_distance(graph: ApproxGraph, x: Point, y: Point) -> Fraction:
     """Exact shortest-path distance between two representable points."""
-    _check_pair(graph, x, y)
+    diffs = difference_orders(x.address, y.address)
+    if not diffs.is_finite or any(order > graph.depth for order in diffs):
+        raise NotRepresentable(f"addresses differ beyond depth {graph.depth}: not representable")
     source = _vertex(graph, x)
     target = _vertex(graph, y)
     dist = shortest_paths(graph, source, target)

@@ -103,10 +103,13 @@ class Space:
         levels, compared through bit lengths so that n**k is never formed.
         """
         width = Fraction(min(hi, 1) - max(lo, 0))
+        if width <= 0:  # one height or none: decode it instead of building D_k
+            level = classify_height(self.mseq, lo) if width == 0 else None
+            return [level] if level is not None and level.order == order else []
         # with width = p/q: p * n**k >= 2**low, and 2 * (MAX_LISTED_LEVELS + 4) * q < 2**high
         low = width.numerator.bit_length() - 1 + order * (self.n.bit_length() - 1)
         high = (2 * (MAX_LISTED_LEVELS + 4) * width.denominator).bit_length()
-        if width > 0 and low >= high or level_count(self.mseq, order, lo, hi) > MAX_LISTED_LEVELS:
+        if low >= high or level_count(self.mseq, order, lo, hi) > MAX_LISTED_LEVELS:
             # the count itself is not printed: at high orders it has thousands of digits
             raise ResourceLimit(
                 f"more than {MAX_LISTED_LEVELS} order-{order} levels: over the listing budget"

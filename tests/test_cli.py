@@ -181,6 +181,19 @@ class TestWormholes:
         assert result.exit_code == 3
         assert result.output == f"error: more than 200000 order-{order} levels: over the listing budget\n"
 
+    def test_single_height_at_high_order_is_decoded(self, runner):
+        started = time.monotonic()
+        result = invoke(runner, "-s", "7/2", "wormholes", "--order", "20000", "--from", "1/2", "--to", "1/2")
+        assert time.monotonic() - started < 1
+        assert result.exit_code == 0 and json.loads(result.output) == []
+
+    @pytest.mark.parametrize("order, height, expected", [("1", "1/3", ["1/3"]), ("2", "1/3", []),
+                                                         ("2", "1/9", ["1/9"]), ("1", "1/9", []),
+                                                         ("1", "0", []), ("1", "1", [])])
+    def test_single_height(self, runner, order, height, expected):
+        result = invoke(runner, "-s", "3", "wormholes", "--order", order, "--from", height, "--to", height)
+        assert json.loads(result.output) == expected
+
     def test_narrow_high_order_range_lists(self, runner):
         result = invoke(runner, "-s", "3", "wormholes", "--order", "20", "--to", "1e-8")
         expected = [Fraction(numerator, 3 ** 20) for numerator in range(1, 35) if numerator % 3]

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 
 import pytest
@@ -125,7 +126,7 @@ class TestAsymptotics:
         assert d.is_finite and d.head == (1, 3)
         d = difference_orders(ZERO, ONE)
         assert not d.is_finite and d.period == 1
-        assert d.first(5) == [1, 2, 3, 4, 5]
+        assert list(islice(d, 5)) == [1, 2, 3, 4, 5]
         d = difference_orders(ZERO, ZERO)
         assert d.is_finite and d.head == ()
 
@@ -133,11 +134,51 @@ class TestAsymptotics:
         rng = random.Random(5)
         for _ in range(300):
             a, b = random_address(rng), random_address(rng)
-            reported = difference_orders(a, b).first(40)
+            reported = list(islice(difference_orders(a, b), 40))
             direct = [i for i in range(1, 200) if a.digit(i) != b.digit(i)][:40]
             assert reported == direct[: len(reported)]
             if len(reported) < 40:
                 assert reported == direct
+
+
+    @pytest.mark.parametrize("a, b, finite", [("0(10)", "(01)", True), ("1(01)", "(10)", True),
+                                              ("0(10)", "(10)", False), ("101(0)", "(0)", True)])
+    def test_finiteness_of_literal_pairs(self, a, b, finite):
+        a, b = parse_address(a), parse_address(b)
+        d = difference_orders(a, b)
+        assert d.is_finite == finite
+        assert list(islice(d, 3)) == _window_scan(a, b)[:3]
+
+    def test_finiteness_and_orders_agree_with_a_window_scan(self):
+        # half the pairs share b's tail behind another prefix, rotated by a
+        # random turn: finite exactly when the turn lines the tails up
+        rng = random.Random(12)
+        finite = 0
+        for index in range(600):
+            a = random_address(rng, max_prefix=8, max_cycle=12)
+            if index % 2:
+                b = random_address(rng, max_prefix=8, max_cycle=12)
+            else:
+                prefix = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 10)))
+                turn = rng.randrange(len(a.cycle))
+                b = Address(prefix, a.cycle[turn:] + a.cycle[:turn])
+            d = difference_orders(a, b)
+            direct = _window_scan(a, b)
+            tail_agrees = not direct or direct[-1] <= max(len(a.prefix), len(b.prefix))
+            assert d.is_finite == tail_agrees
+            finite += d.is_finite
+            if d.is_finite:
+                assert list(d) == direct and d.head == tuple(direct)
+            else:
+                assert list(islice(d, len(direct))) == direct
+                assert d.head == tuple(k for k in direct if k < d.start)
+        assert 50 < finite < 300  # both branches are exercised
+
+
+def _window_scan(a: Address, b: Address) -> list[int]:
+    """Differing positions through three periods past the longer prefix, digit by digit."""
+    end = max(len(a.prefix), len(b.prefix)) + 3 * lcm(len(a.cycle), len(b.cycle))
+    return [i for i in range(1, end + 1) if a.digit(i) != b.digit(i)]
 
 
 class TestValue:

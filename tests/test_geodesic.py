@@ -3,10 +3,12 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
 from laakso import (
+    Address,
     Interval,
     Jump,
     Segment,
@@ -70,7 +72,7 @@ class TestMinimalInterval:
             if x == y:
                 continue
             interval = minimal_interval(s3, x, y)
-            for order in difference_orders(x.address, y.address).first(12):
+            for order in islice(difference_orders(x.address, y.address), 12):
                 assert first_in_interval(s3.mseq, order, interval.a, interval.b) is not None
 
     def test_degenerate_input_rejected(self, s3):
@@ -98,6 +100,25 @@ class TestDistance:
             assert (dxy == 0) == (x == y)
             assert dxy == distance(s3, y, x)
             assert distance(s3, x, z) <= dxy + distance(s3, y, z)
+
+    def test_long_cycles_read_digits_up_to_the_second_order_only(self, s3, monkeypatch):
+        # cycles of 2000 and 2001 digits first differ at orders 2000 and 2001;
+        # a scan over the lcm of the cycle lengths reads about 8 million digits
+        x = s3.parse_point("(" + "0" * 1999 + "1)@1/3")
+        y = s3.parse_point("(" + "0" * 2000 + "1)@1/3")
+        reads = 0
+        digit = Address.digit
+
+        def counted(address, i):
+            nonlocal reads
+            reads += 1
+            return digit(address, i)
+
+        monkeypatch.setattr(Address, "digit", counted)
+        diffs = difference_orders(x.address, y.address)
+        assert reads == 0 and not diffs.is_finite
+        assert distance(s3, x, y) > 0
+        assert reads <= 2 * 2001
 
     def test_height_lower_bound_and_monotone_characterisation(self, s3):
         rng = random.Random(44)
