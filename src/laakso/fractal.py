@@ -107,6 +107,11 @@ class DifferenceOrders:
         """The positions below ``start``: the whole set when it is finite."""
         return tuple(takewhile(lambda k: k < self.start, self))
 
+    def between(self, lo: int, hi: int) -> Iterator[int]:
+        """The positions k with lo < k <= hi, read from those digits alone."""
+        a, b = self.a, self.b
+        return (k for k in range(lo + 1, hi + 1) if a.digit(k) != b.digit(k))
+
     def __iter__(self) -> Iterator[int]:
         window = []
         for k in range(1, self.start + (0 if self.is_finite else self.period)):

@@ -7,6 +7,12 @@ representation then truncates after a configurable number of jumps and a
 tail record carries the exact (or certified-interval) limit height, with
 the finitely many moves beyond the accumulation kept in a post list.
 
+Builders hold every height on a path as an integer numerator over a unit:
+a level over its own D_k, an endpoint over its denominator.  Two heights
+are brought over one unit only where a segment needs both, and a
+``Fraction`` is built only on output (``Segment.h_start``, a level's
+value, the length of a path, an exact limit height).
+
 The distance between two points is 2(b-a) - |h(y)-h(x)| for the minimal
 height interval [a, b]: the shortest interval containing both endpoint
 heights and at least one level of every order at which the addresses
@@ -32,8 +38,8 @@ from .wormhole import (
     WormholeLevel,
     classify_height,
     first_in_interval,
-    last_in_interval,
     snap,
+    snap_units,
 )
 
 UPWARD, DOWNWARD, INVERSION = "upward", "downward", "inversion"
@@ -42,17 +48,49 @@ MONOTONE_UP, MONOTONE_DOWN, OSCILLATING = "monotone-up", "monotone-down", "oscil
 NEAREST, INCREASING = "nearest", "increasing"
 
 
-@dataclass(frozen=True)
+#: A height held as (numerator, unit): the value numerator / unit.
+Height = tuple[int, int]
+
+
+def _units(h: Fraction) -> Height:
+    return h.numerator, h.denominator
+
+
+@dataclass(frozen=True, eq=False)
 class Segment:
-    """A vertical run at a fixed address."""
+    """A vertical run at a fixed address, from start / unit to end / unit.
+
+    The builders give start and end as integers over one unit; with the
+    default unit 1 any exact heights may be given.  Equality and hashing
+    follow the heights' values, whatever the unit.
+    """
 
     address: Address
-    h_start: Fraction
-    h_end: Fraction
+    start: int
+    end: int
+    unit: int = 1
+
+    @property
+    def h_start(self) -> Fraction:
+        return Fraction(self.start, self.unit)
+
+    @property
+    def h_end(self) -> Fraction:
+        return Fraction(self.end, self.unit)
 
     @property
     def direction(self) -> int:
-        return (self.h_end > self.h_start) - (self.h_end < self.h_start)
+        return (self.end > self.start) - (self.end < self.start)
+
+    def __eq__(self, other):
+        if not isinstance(other, Segment):
+            return NotImplemented
+        return (self.address == other.address
+                and self.start * other.unit == other.start * self.unit
+                and self.end * other.unit == other.end * self.unit)
+
+    def __hash__(self):
+        return hash((self.address, self.h_start, self.h_end))
 
 
 @dataclass(frozen=True)
@@ -169,8 +207,8 @@ def distance(space: Space, x: Point, y: Point) -> Fraction:
 # level selection for monotone sweeps
 
 
-def _limit(ms: MSequence, diffs: DifferenceOrders, order: int, h: Fraction,
-           bound: Fraction) -> Union[Fraction, Interval, None]:
+def _limit(ms: MSequence, diffs: DifferenceOrders, order: int, h: Height,
+           bound: Height) -> Union[Fraction, Interval, None]:
     """Where the jumps through the difference orders past order accumulate.
 
     The run starts at h and heads towards bound.  When the branching
@@ -180,29 +218,39 @@ def _limit(ms: MSequence, diffs: DifferenceOrders, order: int, h: Fraction,
     orders k > order; None when that overshoots bound.  Otherwise it is
     certified to lie within one order-`order` step of h, clipped at bound.
     """
-    if h == bound:
+    (num, unit), (bound_num, bound_unit) = h, bound
+    side = bound_num * unit - num * bound_unit
+    if side == 0:
         # a chain at its ceiling: every later order drops in just below it
-        return bound
-    up = bound > h
+        return Fraction(bound_num, bound_unit)
+    up = side > 0
     if not ms.scale.is_integer:
-        far = h + Fraction(1 if up else -1, ms.D(order))
-        return Interval(h, min(bound, far)) if up else Interval(max(bound, far), h)
+        den = ms.D(order)
+        here, edge = Fraction(num, unit), Fraction(bound_num, bound_unit)
+        far = Fraction(num * den + (unit if up else -unit), unit * den)
+        return Interval(here, min(edge, far)) if up else Interval(max(edge, far), here)
     # past floor the orders repeat with the period and each D_k gains
-    # n**period, so one period window times the geometric ratio covers them
+    # n**period = growth, so one period window times growth / (growth - 1)
+    # covers them; both sums count units of 1/D_top
     floor = max(order, len(ms.override), diffs.start - 1)
+    top = floor + diffs.period
     growth = ms.n ** diffs.period
-    ratio = Fraction(growth, growth - 1)
-    rest = Fraction(0)
-    for k in diffs:
-        if k > floor + diffs.period:
-            break
-        if k > order:
-            rest += Fraction(1, ms.D(k)) * (ratio if k > floor else 1)
-    omega = h + rest if up else h - rest
-    return omega if (omega <= bound if up else omega >= bound) else None
+    big = ms.D(top)
+    near = repeating = 0
+    for k in diffs.between(order, top):
+        if k > floor:
+            repeating += big // ms.D(k)
+        else:
+            near += big // ms.D(k)
+    den = unit * big * (growth - 1)
+    rest = unit * (near * (growth - 1) + repeating * growth)
+    omega = num * big * (growth - 1) + (rest if up else -rest)
+    if (omega * bound_unit > bound_num * den) if up else (omega * bound_unit < bound_num * den):
+        return None
+    return Fraction(omega, den)
 
 
-def _sweep_levels(space: Space, lo: Fraction, hi: Fraction, diffs: DifferenceOrders,
+def _sweep_levels(space: Space, lo: Height, hi: Height, diffs: DifferenceOrders,
                   anchors: dict[int, WormholeLevel], depth: int):
     """Pick one level inside [lo, hi] per required order, sorted by height.
 
@@ -214,34 +262,43 @@ def _sweep_levels(space: Space, lo: Fraction, hi: Fraction, diffs: DifferenceOrd
     """
     ms = space.mseq
     placed: list[WormholeLevel] = list(anchors.values())
-    current = lo
+    (lo_num, lo_unit), (hi_num, hi_unit) = lo, hi
+    num, unit = lo  # the top of the chain
     omega: Union[Fraction, Interval, None] = None
     for order in diffs:
         if order in anchors:
             continue
-        level = first_in_interval(ms, order, current, hi)
-        if level is None:
-            level = last_in_interval(ms, order, lo, current)
-            if level is None:
-                raise InvariantViolation("minimal interval misses a required order")
+        level = snap_units(ms, order, num, unit, up=True)
+        if level is not None and level.numerator * hi_unit <= hi_num * level.den:
+            num, unit = level.numerator, level.den
         else:
-            current = level.value
+            level = snap_units(ms, order, num, unit, up=False)
+            if level is None or level.numerator * lo_unit < lo_num * level.den:
+                raise InvariantViolation("minimal interval misses a required order")
         placed.append(level)
         count = len(placed) - len(anchors)
         if diffs.is_finite or count < depth:
             continue
-        omega = _limit(ms, diffs, order, current, hi)
+        omega = _limit(ms, diffs, order, (num, unit), hi)
         if omega is not None:
             break
         if count > depth + 512:
             raise InvariantViolation("sweep did not stabilise")  # unreachable
-    placed.sort(key=lambda w: w.value)
-    if isinstance(omega, Interval):
-        # materialized chain levels sit at or below the enclosure's floor
-        pre = [w for w in placed if w.value <= omega.lo]
-    else:
-        pre = [w for w in placed if omega is None or w.value < omega]
-    return pre, omega, placed[len(pre):]
+    # every D_k divides the deepest one, so heights compare over that unit
+    deepest = max((w.den for w in placed), default=1)
+    placed.sort(key=lambda w: w.numerator * (deepest // w.den))
+    if omega is None:
+        return placed, None, []
+    # materialized chain levels sit below an exact limit, and at or below
+    # the floor of an enclosure
+    edge, closed = (omega.lo, True) if isinstance(omega, Interval) else (omega, False)
+    split = 0
+    for w in placed:
+        gap = edge.numerator * w.den - w.numerator * edge.denominator
+        if gap < 0 or (gap == 0 and not closed):
+            break
+        split += 1
+    return placed[:split], omega, placed[split:]
 
 
 # ---------------------------------------------------------------------------
@@ -253,30 +310,45 @@ def _sweep_levels(space: Space, lo: Fraction, hi: Fraction, diffs: DifferenceOrd
 # PathRep and gives each jump its kind.
 
 
-def _side(h: Fraction, omega: Union[Fraction, Interval]) -> int:
+def _side(h: Height, omega: Union[Fraction, Interval]) -> int:
     """Direction of the run from height h into the limit omega (0: none)."""
+    num, unit = h
     lo, hi = (omega.lo, omega.hi) if isinstance(omega, Interval) else (omega, omega)
-    return 1 if lo >= h and hi > h else -1 if hi <= h and lo < h else 0
+    lo_gap = lo.numerator * unit - num * lo.denominator
+    hi_gap = hi.numerator * unit - num * hi.denominator
+    return 1 if lo_gap >= 0 and hi_gap > 0 else -1 if hi_gap <= 0 and lo_gap < 0 else 0
 
 
-def _append_segment(moves: list, address: Address, h_from: Optional[Fraction], h_to: Fraction):
+def _append_segment(moves: list, address: Address, h_from: Optional[Height], h_to: Height):
     """Record the run from h_from to h_to, unless it is empty or hidden by a tail."""
-    if h_from is not None and h_from != h_to:
-        moves.append(Segment(address, h_from, h_to))
+    if h_from is None:
+        return
+    (start, unit), (end, other) = h_from, h_to
+    if unit != other:  # over the finer unit when it is a multiple of the coarser
+        if other % unit == 0:
+            start, unit = start * (other // unit), other
+        elif unit % other:
+            common = lcm(unit, other)
+            start, end, unit = start * (common // unit), end * (common // other), common
+        else:
+            end *= unit // other
+    if start != end:
+        moves.append(Segment(address, start, end, unit))
 
 
-def _jump(moves: list, address: Address, h: Optional[Fraction], level: WormholeLevel) -> tuple[Address, Fraction]:
+def _jump(moves: list, address: Address, h: Optional[Height], level: WormholeLevel) -> tuple[Address, Height]:
     """Record the run from h to level and the jump there; return the new address and height."""
-    _append_segment(moves, address, h, level.value)
+    here = (level.numerator, level.den)
+    _append_segment(moves, address, h, here)
     switched = address.switch(level.order)
     moves.append((level, address, switched))
-    return switched, level.value
+    return switched, here
 
 
 def _flip(move):
     """The move walked the other way."""
     if isinstance(move, Segment):
-        return Segment(move.address, move.h_end, move.h_start)
+        return Segment(move.address, move.end, move.start, move.unit)
     if isinstance(move, tuple):
         return (move[0], move[2], move[1])
     return move
@@ -292,7 +364,8 @@ def _assemble(start: Point, end: Point, moves: list) -> PathRep:
     elements: list = []
     pending: list[tuple[int, Optional[int]]] = []  # jumps still lacking the side out
     into: Optional[int] = None
-    h = start.height
+    h = _units(start.height)
+    jumps = 0
     tail = None
     split = None
 
@@ -307,23 +380,35 @@ def _assemble(start: Point, end: Point, moves: list) -> PathRep:
         if isinstance(move, tuple):
             pending.append((len(elements), into))
             elements.append(move)
-            h = move[0].value
+            jumps += 1
+            h = (move[0].numerator, move[0].den)
             continue
         if isinstance(move, Segment):
             direction = move.direction
             elements.append(move)
-            h = move.h_end
+            h = (move.end, move.unit)
         else:
             direction = _side(h, move)
             split = len(elements)
-            tail = Tail(move, sum(not isinstance(e, Segment) for e in elements), direction)
+            tail = Tail(move, jumps, direction)
         if direction:
-            settle(direction)
+            if pending:
+                settle(direction)
             into = direction
     settle(None)
     if tail is None:
         return PathRep(start, end, tuple(elements))
     return PathRep(start, end, tuple(elements[:split]), tail, tuple(elements[split:]))
+
+
+def _resting(point: Point) -> PathRep:
+    """The path from a point to itself: one empty segment."""
+    h = point.height
+    return PathRep(point, point, (Segment(point.address, h.numerator, h.numerator, h.denominator),))
+
+
+def _at(level: WormholeLevel, h: Fraction) -> bool:
+    return level.numerator * h.denominator == h.numerator * level.den
 
 
 def geodesic_path(space: Space, x: Point, y: Point, depth: int = 8) -> PathRep:
@@ -336,27 +421,28 @@ def geodesic_path(space: Space, x: Point, y: Point, depth: int = 8) -> PathRep:
     exact (always so for an integer scale).
     """
     if x == y:
-        return PathRep(x, y, (Segment(x.address, x.height, x.height),))
+        return _resting(x)
     interval = minimal_interval(space, x, y)
     low, high = (x, y) if x.height <= y.height else (y, x)
     diffs = difference_orders(low.address, high.address)
     anchors: dict[int, WormholeLevel] = {}
     for order, witness in interval.witnesses:
-        boundary_low = witness.value == interval.a and interval.a < low.height
-        boundary_high = witness.value == interval.b and interval.b > high.height
+        boundary_low = interval.a < low.height and _at(witness, interval.a)
+        boundary_high = interval.b > high.height and _at(witness, interval.b)
         if boundary_low or boundary_high:
             anchors[order] = witness
-    pre, omega, post = _sweep_levels(space, interval.a, interval.b, diffs, anchors, depth)
+    a, b = _units(interval.a), _units(interval.b)
+    pre, omega, post = _sweep_levels(space, a, b, diffs, anchors, depth)
 
     moves: list = []
     address = low.address
-    _append_segment(moves, address, low.height, interval.a)
-    h = interval.a
+    _append_segment(moves, address, _units(low.height), a)
+    h = a
     for level in pre:
         address, h = _jump(moves, address, h, level)
     if omega is None:
-        _append_segment(moves, address, h, interval.b)
-        h = interval.b
+        _append_segment(moves, address, h, b)
+        h = b
     else:
         moves.append(omega)
         address = high.address
@@ -364,10 +450,10 @@ def geodesic_path(space: Space, x: Point, y: Point, depth: int = 8) -> PathRep:
             address = address.switch(level.order)  # undo the post flips: limit address
         # past a certified enclosure the run up to the first post move stays
         # implicit; everything after it is exact
-        h = omega if isinstance(omega, Fraction) else None
+        h = _units(omega) if isinstance(omega, Fraction) else None
         for level in post:
             address, h = _jump(moves, address, h, level)
-    _append_segment(moves, address, h, high.height)
+    _append_segment(moves, address, h, _units(high.height))
     if address != high.address:
         raise InvariantViolation("geodesic ends at the wrong address")
     if low is not x:
@@ -379,14 +465,20 @@ def geodesic_path(space: Space, x: Point, y: Point, depth: int = 8) -> PathRep:
 # the constructive connection algorithm
 
 
-def _pick_level(ms: MSequence, order: int, height: Fraction, strategy: str, upward: bool) -> WormholeLevel:
-    below, above = snap(ms, order, height, up=False), snap(ms, order, height, up=True)
-    if below is None or above is None:  # every order has a level in (0, 1)
-        return below or above
+def _pick_level(ms: MSequence, order: int, h: Height, strategy: str, upward: bool) -> WormholeLevel:
+    num, unit = h
     if strategy == NEAREST:
-        # an exact tie follows the worked construction and goes above
-        return below if height - below.value < above.value - height else above
-    return above if upward else below
+        below = snap_units(ms, order, num, unit, up=False)
+        above = snap_units(ms, order, num, unit, up=True)
+        if below is None or above is None:  # every order has a level in (0, 1)
+            return below or above
+        # h - below < above - h over the unit D_order * unit; an exact tie
+        # follows the worked construction and goes above
+        closer = 2 * num * below.den < (below.numerator + above.numerator) * unit
+        return below if closer else above
+    # the side towards the target, or the other when it has no level
+    return (snap_units(ms, order, num, unit, up=upward)
+            or snap_units(ms, order, num, unit, up=not upward))
 
 
 def connect(space: Space, x: Point, y: Point, strategy: str = NEAREST, depth: int = 8) -> PathRep:
@@ -400,7 +492,7 @@ def connect(space: Space, x: Point, y: Point, strategy: str = NEAREST, depth: in
     if strategy not in (NEAREST, INCREASING):
         raise ValueError(f"unknown strategy {strategy!r}")
     if x == y:
-        return PathRep(x, y, (Segment(x.address, x.height, x.height),))
+        return _resting(x)
     ms = space.mseq
     start_address, end_address = x.address, y.address
     # start and end from the identification-compatible representatives
@@ -419,20 +511,20 @@ def connect(space: Space, x: Point, y: Point, strategy: str = NEAREST, depth: in
     rising = strategy == NEAREST or upward
     moves: list = []
     address = start_address
-    h = x.height
+    h = _units(x.height)
     for count, order in enumerate(diffs, 1):
         level = _pick_level(ms, order, h, strategy, upward)
         address, h = _jump(moves, address, h, level)
         if diffs.is_finite or count < depth:
             continue
-        omega = _limit(ms, diffs, order, h, Fraction(rising))
+        omega = _limit(ms, diffs, order, h, (int(rising), 1))
         if omega is None:
             raise InvariantViolation("connect's limit lies outside [0, 1]")
         moves.append(omega)
         address = end_address
-        h = omega if isinstance(omega, Fraction) else None
+        h = _units(omega) if isinstance(omega, Fraction) else None
         break
-    _append_segment(moves, address, h, y.height)
+    _append_segment(moves, address, h, _units(y.height))
     if address != end_address:
         raise InvariantViolation("path ends at the wrong address")
     return _assemble(x, y, moves)
@@ -442,15 +534,18 @@ def connect(space: Space, x: Point, y: Point, strategy: str = NEAREST, depth: in
 # measurements over paths
 
 
-def _run_length(heights: list[Fraction]) -> Fraction:
-    """Sum of |h[i+1] - h[i]|, taken in integers over one common denominator."""
-    dens = sorted({h.denominator for h in heights}, reverse=True)
-    common = dens[0]
-    for den in dens[1:]:
-        if common % den:  # level denominators D_k divide the deepest one
-            common = lcm(common, den)
-    scaled = [h.numerator * (common // h.denominator) for h in heights]
-    return Fraction(sum(abs(b - a) for a, b in zip(scaled, scaled[1:])), common)
+def _heights(elements) -> list[Height]:
+    out: list[Height] = []
+    for element in elements:
+        if isinstance(element, Segment):
+            out += ((element.start, element.unit), (element.end, element.unit))
+        else:
+            out.append((element.level.numerator, element.level.den))
+    return out
+
+
+def _run(scaled: list[int]) -> int:
+    return sum(abs(b - a) for a, b in zip(scaled, scaled[1:]))
 
 
 def path_length(path: PathRep) -> Union[Fraction, Interval]:
@@ -459,25 +554,40 @@ def path_length(path: PathRep) -> Union[Fraction, Interval]:
     The truncated part contributes |omega - h| for the height h at the
     truncation point (the tail is always height-monotone by construction),
     and any residual approach to the endpoint is added the same way.  The
-    result is an exact Fraction whenever the limit height is exact.
+    result is an exact Fraction whenever the limit height is exact, and
+    otherwise the enclosure that omega's enclosure gives.  Every height is
+    taken over one common unit, so the sum is integer arithmetic.
     """
-
-    def heights(elements) -> list[Fraction]:
-        out = []
-        for element in elements:
-            if isinstance(element, Segment):
-                out += (element.h_start, element.h_end)
-            else:
-                out.append(element.height)
-        return out
-
-    before = [path.start.height, *heights(path.items)]
-    after = [*heights(path.post), path.end.height]
-    omega = path.tail.omega if path.tail is not None else None
-    if not isinstance(omega, Interval):
-        return _run_length(before + ([] if omega is None else [omega]) + after)
-    total = _run_length(before) + abs(omega - before[-1]) + abs(after[0] - omega) + _run_length(after)
-    return total.lo if total.lo == total.hi else total
+    heights = [_units(path.start.height), *_heights(path.items)]
+    cut = len(heights)
+    heights += _heights(path.post)
+    heights.append(_units(path.end.height))
+    if path.tail is not None:
+        omega = path.tail.omega
+        lo, hi = (omega.lo, omega.hi) if isinstance(omega, Interval) else (omega, omega)
+        heights += (_units(lo), _units(hi))
+    units = set(unit for _, unit in heights)
+    common = max(units)
+    for unit in units:
+        if common % unit:  # level units D_k divide the deepest one
+            common = lcm(common, unit)
+    factor = {unit: common // unit for unit in units}
+    scaled = [num * factor[unit] for num, unit in heights]
+    if path.tail is None:
+        return Fraction(_run(scaled), common)
+    hi = scaled.pop()
+    lo = scaled.pop()
+    low = high = _run(scaled[:cut]) + _run(scaled[cut:])
+    for h in (scaled[cut - 1], scaled[cut]):  # |omega - h| over omega in [lo, hi]
+        if lo >= h:
+            low, high = low + lo - h, high + hi - h
+        elif hi <= h:
+            low, high = low + h - hi, high + h - lo
+        else:
+            high += max(h - lo, hi - h)
+    if low == high:
+        return Fraction(low, common)
+    return Interval(Fraction(low, common), Fraction(high, common))
 
 
 def classify(path: PathRep) -> tuple[str, tuple[str, ...]]:

@@ -9,7 +9,7 @@ are never enumerated unless a caller explicitly iterates a range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Iterator, Optional
@@ -102,24 +102,29 @@ class MSequence:
 
 @dataclass(frozen=True)
 class WormholeLevel:
-    """A single identification height: value = numerator / D_order.
+    """A single identification height: value = numerator / den, den = D_order.
 
-    The order and the numerator fix the level.  The numerator is never a
-    multiple of m_order, which keeps level sets of different orders
-    disjoint.
+    The order and the numerator fix the level, and equality and hashing use
+    only them.  The numerator is never a multiple of m_order, which keeps
+    level sets of different orders disjoint.  ``den`` lets callers compare
+    heights in integers; the ``Fraction`` value is built on first request
+    and kept.
     """
 
     order: int
     numerator: int
-    value: Fraction
+    den: int = field(compare=False, repr=False)
+
+    @property
+    def value(self) -> Fraction:
+        cache = self.__dict__
+        value = cache.get("_value")
+        if value is None:
+            value = cache["_value"] = Fraction(self.numerator, self.den)
+        return value
 
     def __str__(self):
         return f"{self.value} (order {self.order})"
-
-
-def _level(ms: MSequence, k: int, numerator: int) -> WormholeLevel:
-    """The order-k level with a numerator the caller knows to be valid."""
-    return WormholeLevel(k, numerator, Fraction(numerator, ms.D(k)))
 
 
 def level_from_numerator(ms: MSequence, k: int, numerator: int) -> WormholeLevel:
@@ -130,7 +135,7 @@ def level_from_numerator(ms: MSequence, k: int, numerator: int) -> WormholeLevel
         raise ValueError(f"numerator {numerator} outside 1..{den - 1}")
     if numerator % ms.entry(k) == 0:
         raise ValueError(f"numerator {numerator} is a multiple of m_{k}")
-    return _level(ms, k, numerator)
+    return WormholeLevel(k, numerator, den)
 
 
 def classify_height(ms: MSequence, y) -> Optional[WormholeLevel]:
@@ -162,7 +167,21 @@ def classify_height(ms: MSequence, y) -> Optional[WormholeLevel]:
         k += 1
         den = ms.D(k)
         if den % q == 0:
-            return _level(ms, k, y.numerator * (den // q))
+            return WormholeLevel(k, y.numerator * (den // q), den)
+
+
+def snap_units(ms: MSequence, k: int, numerator: int, unit: int, up: bool) -> Optional[WormholeLevel]:
+    """``snap`` for the height numerator / unit, decided in integers."""
+    den = ms.D(k)
+    if up:
+        level = max(1, -(-numerator * den // unit))
+    else:
+        level = min(den - 1, numerator * den // unit)
+    if level % ms._m[k - 1] == 0:  # m_k, present once D_k is
+        level += 1 if up else -1
+    if not 0 < level < den:
+        return None
+    return WormholeLevel(k, level, den)
 
 
 def snap(ms: MSequence, k: int, y, up: bool) -> Optional[WormholeLevel]:
@@ -170,28 +189,23 @@ def snap(ms: MSequence, k: int, y, up: bool) -> Optional[WormholeLevel]:
 
     y is a Fraction or an int; None when no order-k level lies on that side.
     """
-    den = ms.D(k)
-    if up:
-        numerator = max(1, -(-y.numerator * den // y.denominator))
-    else:
-        numerator = min(den - 1, y.numerator * den // y.denominator)
-    if numerator % ms.entry(k) == 0:
-        numerator += 1 if up else -1
-    if not 0 < numerator < den:
-        return None
-    return _level(ms, k, numerator)
+    return snap_units(ms, k, y.numerator, y.denominator, up)
 
 
 def first_in_interval(ms: MSequence, k: int, lo, hi) -> Optional[WormholeLevel]:
     """Least order-k level inside [lo, hi], by numerator arithmetic."""
     level = snap(ms, k, lo, up=True)
-    return level if level is not None and level.value <= hi else None
+    if level is None or level.numerator * hi.denominator > hi.numerator * level.den:
+        return None
+    return level
 
 
 def last_in_interval(ms: MSequence, k: int, lo, hi) -> Optional[WormholeLevel]:
     """Greatest order-k level inside [lo, hi]."""
     level = snap(ms, k, hi, up=False)
-    return level if level is not None and level.value >= lo else None
+    if level is None or level.numerator * lo.denominator < lo.numerator * level.den:
+        return None
+    return level
 
 
 def nearest(ms: MSequence, k: int, y) -> WormholeLevel:
@@ -223,4 +237,4 @@ def levels_in_range(ms: MSequence, k: int, lo, hi) -> Iterator[WormholeLevel]:
     m_k = ms.entry(k)
     for numerator in range(first.numerator, last.numerator + 1):
         if numerator % m_k:
-            yield _level(ms, k, numerator)
+            yield WormholeLevel(k, numerator, first.den)

@@ -31,6 +31,21 @@ def q13():
     return Space.from_dimension(Fraction(13, 10))
 
 
+@pytest.fixture
+def fraction_count(monkeypatch):
+    """Count every Fraction built from here on; calling the result reads the count."""
+    built = 0
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    return lambda: built
+
+
 def sandwich_holds(ms: MSequence, i: int) -> bool:
     """The two-sided bound n/(n+1)/D_i <= s**-i <= (n+1)/n/D_i, decided exactly."""
     n, product = ms.n, ms.D(i)

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, takewhile
 from math import lcm
 
 import pytest
@@ -173,6 +173,19 @@ class TestAsymptotics:
                 assert list(islice(d, len(direct))) == direct
                 assert d.head == tuple(k for k in direct if k < d.start)
         assert 50 < finite < 300  # both branches are exercised
+
+
+    def test_between_reads_a_range_of_positions(self):
+        rng = random.Random(13)
+        for _ in range(300):
+            a = random_address(rng, max_prefix=8, max_cycle=6)
+            b = random_address(rng, max_prefix=8, max_cycle=6)
+            d = difference_orders(a, b)
+            lo = rng.randint(0, 30)
+            hi = lo + rng.randint(0, 30)
+            assert list(d.between(lo, hi)) == [k for k in range(lo + 1, hi + 1)
+                                               if a.digit(k) != b.digit(k)]
+            assert list(d.between(0, 60)) == list(takewhile(lambda k: k <= 60, d))
 
 
 def _window_scan(a: Address, b: Address) -> list[int]:

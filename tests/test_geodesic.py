@@ -200,6 +200,68 @@ class TestConnect:
             connect(s3, *corner_pair, strategy="widest")
 
 
+class TestWork:
+    """Deterministic work guards on the path builders."""
+
+    def test_builders_make_few_fractions(self, s3, fraction_count):
+        # heights on a path are integers over units; Fractions are built on
+        # output only (before that change: 139 per connect, 45 per geodesic)
+        x, y = s3.parse_point("0110(01)@1/9"), s3.parse_point("1(0011)@5/27")
+        for strategy in ("nearest", "increasing"):
+            connect(s3, x, y, strategy, 32)  # grows the branching sequence first
+        geodesic_path(s3, x, y, 32)
+        for build in (lambda: connect(s3, x, y, "nearest", 32),
+                      lambda: connect(s3, x, y, "increasing", 32),
+                      lambda: geodesic_path(s3, x, y, 32)):
+            before = fraction_count()
+            path = build()
+            assert path.tail is not None and len(path.jumps()) >= 32
+            assert fraction_count() - before <= 8
+            before = fraction_count()
+            path_length(path)
+            classify(path)
+            assert fraction_count() - before <= 2
+
+    def test_limit_reads_the_digits_past_the_truncation_only(self, s3, monkeypatch):
+        # a 300-digit prefix: the limit sums the orders of one period past
+        # the truncation, read directly rather than by a scan from digit 1
+        x = s3.parse_point("0" * 300 + "(01)@1/9")
+        y = s3.parse_point("0" * 299 + "1(10)@5/27")
+        diffs = difference_orders(x.address, y.address)
+        reads = 0
+        digit = Address.digit
+
+        def counted(address, i):
+            nonlocal reads
+            reads += 1
+            return digit(address, i)
+
+        monkeypatch.setattr(Address, "digit", counted)
+        for strategy in ("nearest", "increasing"):
+            reads = 0
+            assert connect(s3, x, y, strategy, 8).tail is not None
+            # one pass over the orders' window, two endpoint decodings, the limit
+            assert reads <= 2 * (diffs.start + diffs.period) + 4 + 4 * diffs.period
+
+
+class TestSegment:
+    def test_equality_and_hash_follow_the_heights_whatever_the_unit(self):
+        a, b = Address((0,), (1,)), Address((), (1,))
+        third = Segment(a, 1, 2, 3)
+        same = Segment(a, 3, 6, 9)
+        assert third == same and hash(third) == hash(same)
+        assert third == Segment(a, Fraction(1, 3), Fraction(2, 3))
+        assert (same.h_start, same.h_end, same.direction) == (Fraction(1, 3), Fraction(2, 3), 1)
+        assert third != Segment(a, 1, 2, 4)
+        assert third != Segment(a, 2, 1, 3)
+        assert third != Segment(b, 1, 2, 3)
+        assert len({third, same, Segment(a, 2, 4, 6)}) == 1
+
+    def test_flipped_segment_points_down(self):
+        down = Segment(Address((), (0,)), 7, 2, 27)
+        assert down.direction == -1 and Segment(down.address, 4, 4, 5).direction == 0
+
+
 class TestGeodesic:
     def test_worked_example(self, s3, worked_pair):
         path = geodesic_path(s3, *worked_pair)
@@ -397,13 +459,12 @@ def test_path_length_matches_stepwise_sum(request, name):
 
 def test_validate_checks_survive_optimisation():
     script = (
-        "from fractions import Fraction\n"
         "from laakso import Space, Segment, geodesic_path\n"
         "from laakso.geodesic import PathRep, validate\n"
         "s3 = Space.from_ratio(3)\n"
         "x, y = s3.parse_point('(0)@1/5'), s3.parse_point('101(0)@1/10')\n"
         "path = geodesic_path(s3, x, y)\n"
-        "broken = PathRep(x, y, (Segment(x.address, Fraction(0), Fraction(1)),) + path.items[1:])\n"
+        "broken = PathRep(x, y, (Segment(x.address, 0, 10, 10),) + path.items[1:])\n"
         "try:\n"
         "    validate(broken, s3)\n"
         "except AssertionError as exc:\n"

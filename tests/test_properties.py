@@ -17,6 +17,8 @@ from laakso import (
     Address,
     InfeasibleSequence,
     Interval,
+    Jump,
+    Segment,
     Space,
     classify_height,
     connect,
@@ -123,3 +125,47 @@ def test_literals_of_one_point_parse_to_one_canonical_point(data):
     level = classify_height(space.mseq, h)
     if level is not None:  # the two addresses glued at this height
         assert space.point(a.switch(level.order), h) == first
+
+
+#: Integer, non-integer rational and irrational scales, and an override.
+FIXED_SPACES = (Space.from_ratio(3), Space.from_ratio(Fraction(7, 2)),
+                Space.from_dimension(Fraction(13, 10)), Space.from_ratio(3, (4, 3, 3)))
+
+
+def fraction_length(path):
+    """The length of a path summed move by move from its Fraction heights.
+
+    The tail's limit takes part as one height, an Interval past a certified
+    enclosure, so the sum is then an Interval (a Fraction when it is exact).
+    """
+    total, here = Fraction(0), path.start.height
+    for move in path.items + ((path.tail.omega,) if path.tail else ()) + path.post:
+        if isinstance(move, Segment):
+            heights = (move.h_start, move.h_end)
+        else:
+            heights = (move.height,) if isinstance(move, Jump) else (move,)
+        for height in heights:
+            total += abs(height - here)
+            here = height
+    total += abs(path.end.height - here)
+    return total.lo if isinstance(total, Interval) and total.lo == total.hi else total
+
+
+@PROPERTY
+@given(data=st.data())
+def test_integer_lengths_and_directions_match_fraction_arithmetic(data):
+    space = data.draw(st.sampled_from(FIXED_SPACES))
+    x = data.draw(points(space))
+    if data.draw(st.booleans()):  # the same tail behind another prefix: finitely many orders
+        prefix = data.draw(st.lists(st.integers(0, 1), min_size=len(x.address.prefix),
+                                    max_size=len(x.address.prefix)))
+        y = space.point(Address(tuple(prefix), x.address.cycle), data.draw(heights(space)))
+    else:
+        y = data.draw(points(space))
+    depth = data.draw(st.integers(1, 8))
+    for path in (geodesic_path(space, x, y, depth), connect(space, x, y, "nearest", depth),
+                 connect(space, x, y, "increasing", depth)):
+        assert path_length(path) == fraction_length(path)
+        for segment in path.segments():
+            ends = segment.h_start, segment.h_end
+            assert segment.direction == (ends[1] > ends[0]) - (ends[1] < ends[0])
