@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import lcm
+from operator import sub
 from typing import Optional, Union
 
 from .errors import InvariantViolation
@@ -545,7 +546,7 @@ def _heights(elements) -> list[Height]:
 
 
 def _run(scaled: list[int]) -> int:
-    return sum(abs(b - a) for a, b in zip(scaled, scaled[1:]))
+    return sum(map(abs, map(sub, scaled[1:], scaled)))
 
 
 def path_length(path: PathRep) -> Union[Fraction, Interval]:
@@ -566,7 +567,7 @@ def path_length(path: PathRep) -> Union[Fraction, Interval]:
         omega = path.tail.omega
         lo, hi = (omega.lo, omega.hi) if isinstance(omega, Interval) else (omega, omega)
         heights += (_units(lo), _units(hi))
-    units = set(unit for _, unit in heights)
+    units = {unit for _, unit in heights}
     common = max(units)
     for unit in units:
         if common % unit:  # level units D_k divide the deepest one
