@@ -325,14 +325,9 @@ def _append_segment(moves: list, address: Address, h_from: Optional[Height], h_t
     if h_from is None:
         return
     (start, unit), (end, other) = h_from, h_to
-    if unit != other:  # over the finer unit when it is a multiple of the coarser
-        if other % unit == 0:
-            start, unit = start * (other // unit), other
-        elif unit % other:
-            common = lcm(unit, other)
-            start, end, unit = start * (common // unit), end * (common // other), common
-        else:
-            end *= unit // other
+    if unit != other:  # level units divide each other: no gcd between two D_k
+        common = other if other % unit == 0 else unit if unit % other == 0 else lcm(unit, other)
+        start, end, unit = start * (common // unit), end * (common // other), common
     if start != end:
         moves.append(Segment(address, start, end, unit))
 

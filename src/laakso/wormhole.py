@@ -177,7 +177,7 @@ def snap_units(ms: MSequence, k: int, numerator: int, unit: int, up: bool) -> Op
         level = max(1, -(-numerator * den // unit))
     else:
         level = min(den - 1, numerator * den // unit)
-    if level % ms._m[k - 1] == 0:  # m_k, present once D_k is
+    if level % ms.entry(k) == 0:
         level += 1 if up else -1
     if not 0 < level < den:
         return None

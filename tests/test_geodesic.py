@@ -204,8 +204,9 @@ class TestWork:
     """Deterministic work guards on the path builders."""
 
     def test_builders_make_few_fractions(self, s3, fraction_count):
-        # heights on a path are integers over units; Fractions are built on
-        # output only (before that change: 139 per connect, 45 per geodesic)
+        # heights on a path are integers over units and Fractions are built
+        # on output only (with Fraction heights: 139 per connect, 45 per
+        # geodesic)
         x, y = s3.parse_point("0110(01)@1/9"), s3.parse_point("1(0011)@5/27")
         for strategy in ("nearest", "increasing"):
             connect(s3, x, y, strategy, 32)  # grows the branching sequence first
@@ -256,10 +257,6 @@ class TestSegment:
         assert third != Segment(a, 2, 1, 3)
         assert third != Segment(b, 1, 2, 3)
         assert len({third, same, Segment(a, 2, 4, 6)}) == 1
-
-    def test_flipped_segment_points_down(self):
-        down = Segment(Address((), (0,)), 7, 2, 27)
-        assert down.direction == -1 and Segment(down.address, 4, 4, 5).direction == 0
 
 
 class TestGeodesic:
