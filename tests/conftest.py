@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from laakso import Address, MSequence, Point, Space, WormholeLevel, classify_height
+from laakso import (Address, Interval, Jump, MSequence, Point, Segment, Space, WormholeLevel,
+                    classify_height)
 from laakso.wormhole import level_from_numerator
 
 
@@ -97,3 +98,23 @@ def preimages(space: Space, p: Point) -> tuple[tuple[Address, Fraction], ...]:
     if level is None:
         return ((p.address, p.height),)
     return ((p.address, p.height), (p.address.switch(level.order), p.height))
+
+
+def stepwise_length(path):
+    """path_length as a running Fraction (or Interval) sum, one move at a time.
+
+    Built from the Fraction heights alone (``h_start``, ``h_end``, the jump
+    heights and the tail's limit), so it is independent of the units the
+    path holds its heights in.
+    """
+    total, current = Fraction(0), path.start.height
+    for move in path.items + ((path.tail.omega,) if path.tail else ()) + path.post:
+        if isinstance(move, Segment):
+            total += abs(move.h_start - current) + abs(move.h_end - move.h_start)
+            current = move.h_end
+        else:
+            height = move.height if isinstance(move, Jump) else move
+            total += abs(height - current)
+            current = height
+    total += abs(path.end.height - current)
+    return total.lo if isinstance(total, Interval) and total.lo == total.hi else total

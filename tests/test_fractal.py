@@ -174,7 +174,6 @@ class TestAsymptotics:
                 assert d.head == tuple(k for k in direct if k < d.start)
         assert 50 < finite < 300  # both branches are exercised
 
-
     def test_between_reads_a_range_of_positions(self):
         rng = random.Random(13)
         for _ in range(300):

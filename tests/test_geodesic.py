@@ -10,7 +10,6 @@ import pytest
 from laakso import (
     Address,
     Interval,
-    Jump,
     Segment,
     classify,
     classify_height,
@@ -23,7 +22,7 @@ from laakso import (
     path_length,
 )
 from laakso.geodesic import INVERSION, MONOTONE_DOWN, MONOTONE_UP, OSCILLATING, validate
-from conftest import random_point
+from conftest import random_point, stepwise_length
 
 
 @pytest.fixture(scope="module")
@@ -423,21 +422,6 @@ class TestOtherScales:
         assert any(j.level.value == top for j in path.jumps())
 
 
-def _stepwise_length(path):
-    """path_length as a running Fraction (or Interval) sum, one move at a time."""
-    total, current = Fraction(0), path.start.height
-    for move in path.items + ((path.tail.omega,) if path.tail else ()) + path.post:
-        if isinstance(move, Segment):
-            total += abs(move.h_start - current) + abs(move.h_end - move.h_start)
-            current = move.h_end
-        else:
-            height = move.height if isinstance(move, Jump) else move
-            total += abs(height - current)
-            current = height
-    total += abs(path.end.height - current)
-    return total.lo if isinstance(total, Interval) and total.lo == total.hi else total
-
-
 @pytest.mark.parametrize("name", ["s3", "s72", "q13"])
 def test_path_length_matches_stepwise_sum(request, name):
     space = request.getfixturevalue(name)
@@ -449,7 +433,7 @@ def test_path_length_matches_stepwise_sum(request, name):
             continue
         for path in (geodesic_path(space, x, y, 6), connect(space, x, y, "increasing", 6)):
             length = path_length(path)
-            assert length == _stepwise_length(path)
+            assert length == stepwise_length(path)
             enclosures += isinstance(length, Interval)
     assert enclosures or name == "s3"
 

@@ -6,19 +6,19 @@ then checks that its first 100 branching entries keep the sandwich bound,
 the metric axioms, that the geodesic's length is the distance,
 that constructive paths are no shorter, that reversal changes nothing, and
 that two literals of the same point parse to the same canonical point.
+On four fixed spaces it also checks that path lengths and segment
+directions, computed in integer units, agree with Fraction arithmetic.
 """
 
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import sandwich_holds
+from conftest import sandwich_holds, stepwise_length
 from laakso import (
     Address,
     InfeasibleSequence,
     Interval,
-    Jump,
-    Segment,
     Space,
     classify_height,
     connect,
@@ -132,25 +132,6 @@ FIXED_SPACES = (Space.from_ratio(3), Space.from_ratio(Fraction(7, 2)),
                 Space.from_dimension(Fraction(13, 10)), Space.from_ratio(3, (4, 3, 3)))
 
 
-def fraction_length(path):
-    """The length of a path summed move by move from its Fraction heights.
-
-    The tail's limit takes part as one height, an Interval past a certified
-    enclosure, so the sum is then an Interval (a Fraction when it is exact).
-    """
-    total, here = Fraction(0), path.start.height
-    for move in path.items + ((path.tail.omega,) if path.tail else ()) + path.post:
-        if isinstance(move, Segment):
-            heights = (move.h_start, move.h_end)
-        else:
-            heights = (move.height,) if isinstance(move, Jump) else (move,)
-        for height in heights:
-            total += abs(height - here)
-            here = height
-    total += abs(path.end.height - here)
-    return total.lo if isinstance(total, Interval) and total.lo == total.hi else total
-
-
 @PROPERTY
 @given(data=st.data())
 def test_integer_lengths_and_directions_match_fraction_arithmetic(data):
@@ -165,7 +146,7 @@ def test_integer_lengths_and_directions_match_fraction_arithmetic(data):
     depth = data.draw(st.integers(1, 8))
     for path in (geodesic_path(space, x, y, depth), connect(space, x, y, "nearest", depth),
                  connect(space, x, y, "increasing", depth)):
-        assert path_length(path) == fraction_length(path)
+        assert path_length(path) == stepwise_length(path)
         for segment in path.segments():
             ends = segment.h_start, segment.h_end
             assert segment.direction == (ends[1] > ends[0]) - (ends[1] < ends[0])
