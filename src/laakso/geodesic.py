@@ -7,11 +7,11 @@ representation then truncates after a configurable number of jumps and a
 tail record carries the exact (or certified-interval) limit height, with
 the finitely many moves beyond the accumulation kept in a post list.
 
-Builders hold every height on a path as an integer numerator over a unit:
-a level over its own D_k, an endpoint over its denominator.  Two heights
-are brought over one unit only where a segment needs both, and a
-``Fraction`` is built only on output (``Segment.h_start``, a level's
-value, the length of a path, an exact limit height).
+Every height on a path is an exact rational read through ``numerator``
+and ``denominator``: an endpoint's ``Fraction``, a level or an exact
+limit.  Segments hold the heights they join and builders compare heights
+by cross-multiplication; a ``Fraction`` is built only on output
+(``Segment.h_start``, a level's value, a path's length, an exact limit).
 
 The distance between two points is 2(b-a) - |h(y)-h(x)| for the minimal
 height interval [a, b]: the shortest interval containing both endpoint
@@ -39,8 +39,8 @@ from .wormhole import (
     WormholeLevel,
     classify_height,
     first_in_interval,
+    last_in_interval,
     snap,
-    snap_units,
 )
 
 UPWARD, DOWNWARD, INVERSION = "upward", "downward", "inversion"
@@ -49,46 +49,41 @@ MONOTONE_UP, MONOTONE_DOWN, OSCILLATING = "monotone-up", "monotone-down", "oscil
 NEAREST, INCREASING = "nearest", "increasing"
 
 
-#: A height held as (numerator, unit): the value numerator / unit.
-Height = tuple[int, int]
-
-
-def _units(h: Fraction) -> Height:
-    return h.numerator, h.denominator
+def _cmp(a, b) -> int:
+    """-1, 0 or 1 as the height a lies below, at or above the height b."""
+    left, right = a.numerator * b.denominator, b.numerator * a.denominator
+    return (left > right) - (left < right)
 
 
 @dataclass(frozen=True, eq=False)
 class Segment:
-    """A vertical run at a fixed address, from start / unit to end / unit.
+    """A vertical run at a fixed address, from height start to height end.
 
-    The builders give start and end as integers over one unit; with the
-    default unit 1 any exact heights may be given.  Equality and hashing
-    follow the heights' values, whatever the unit.
+    The heights are exact: Fractions, ints or levels.  Equality and hashing
+    follow their values, whatever type holds them.
     """
 
     address: Address
-    start: int
-    end: int
-    unit: int = 1
+    start: Union[Fraction, int, WormholeLevel]
+    end: Union[Fraction, int, WormholeLevel]
 
     @property
     def h_start(self) -> Fraction:
-        return Fraction(self.start, self.unit)
+        return Fraction(self.start.numerator, self.start.denominator)
 
     @property
     def h_end(self) -> Fraction:
-        return Fraction(self.end, self.unit)
+        return Fraction(self.end.numerator, self.end.denominator)
 
     @property
     def direction(self) -> int:
-        return (self.end > self.start) - (self.end < self.start)
+        return _cmp(self.end, self.start)
 
     def __eq__(self, other):
         if not isinstance(other, Segment):
             return NotImplemented
-        return (self.address == other.address
-                and self.start * other.unit == other.start * self.unit
-                and self.end * other.unit == other.end * self.unit)
+        return (self.address == other.address and _cmp(self.start, other.start) == 0
+                and _cmp(self.end, other.end) == 0)
 
     def __hash__(self):
         return hash((self.address, self.h_start, self.h_end))
@@ -208,8 +203,8 @@ def distance(space: Space, x: Point, y: Point) -> Fraction:
 # level selection for monotone sweeps
 
 
-def _limit(ms: MSequence, diffs: DifferenceOrders, order: int, h: Height,
-           bound: Height) -> Union[Fraction, Interval, None]:
+def _limit(ms: MSequence, diffs: DifferenceOrders, order: int, h,
+           bound) -> Union[Fraction, Interval, None]:
     """Where the jumps through the difference orders past order accumulate.
 
     The run starts at h and heads towards bound.  When the branching
@@ -219,17 +214,16 @@ def _limit(ms: MSequence, diffs: DifferenceOrders, order: int, h: Height,
     orders k > order; None when that overshoots bound.  Otherwise it is
     certified to lie within one order-`order` step of h, clipped at bound.
     """
-    (num, unit), (bound_num, bound_unit) = h, bound
-    side = bound_num * unit - num * bound_unit
+    side = _cmp(bound, h)
     if side == 0:
         # a chain at its ceiling: every later order drops in just below it
-        return Fraction(bound_num, bound_unit)
-    up = side > 0
+        return Fraction(bound)
+    num, unit = h.numerator, h.denominator
     if not ms.scale.is_integer:
         den = ms.D(order)
-        here, edge = Fraction(num, unit), Fraction(bound_num, bound_unit)
-        far = Fraction(num * den + (unit if up else -unit), unit * den)
-        return Interval(here, min(edge, far)) if up else Interval(max(edge, far), here)
+        here, edge = Fraction(num, unit), Fraction(bound)
+        far = Fraction(num * den + side * unit, unit * den)
+        return Interval(here, min(edge, far)) if side > 0 else Interval(max(edge, far), here)
     # past floor the orders repeat with the period and each D_k gains
     # n**period = growth, so one period window times growth / (growth - 1)
     # covers them; both sums count units of 1/D_top
@@ -245,13 +239,13 @@ def _limit(ms: MSequence, diffs: DifferenceOrders, order: int, h: Height,
             near += big // ms.D(k)
     den = unit * big * (growth - 1)
     rest = unit * (near * (growth - 1) + repeating * growth)
-    omega = num * big * (growth - 1) + (rest if up else -rest)
-    if (omega * bound_unit > bound_num * den) if up else (omega * bound_unit < bound_num * den):
+    omega = num * big * (growth - 1) + side * rest
+    if side * (omega * bound.denominator - bound.numerator * den) > 0:  # past bound
         return None
     return Fraction(omega, den)
 
 
-def _sweep_levels(space: Space, lo: Height, hi: Height, diffs: DifferenceOrders,
+def _sweep_levels(space: Space, lo: Fraction, hi: Fraction, diffs: DifferenceOrders,
                   anchors: dict[int, WormholeLevel], depth: int):
     """Pick one level inside [lo, hi] per required order, sorted by height.
 
@@ -263,40 +257,38 @@ def _sweep_levels(space: Space, lo: Height, hi: Height, diffs: DifferenceOrders,
     """
     ms = space.mseq
     placed: list[WormholeLevel] = list(anchors.values())
-    (lo_num, lo_unit), (hi_num, hi_unit) = lo, hi
-    num, unit = lo  # the top of the chain
+    top = lo  # the top of the chain
     omega: Union[Fraction, Interval, None] = None
     for order in diffs:
         if order in anchors:
             continue
-        level = snap_units(ms, order, num, unit, up=True)
-        if level is not None and level.numerator * hi_unit <= hi_num * level.den:
-            num, unit = level.numerator, level.den
+        level = first_in_interval(ms, order, top, hi)
+        if level is not None:
+            top = level
         else:
-            level = snap_units(ms, order, num, unit, up=False)
-            if level is None or level.numerator * lo_unit < lo_num * level.den:
+            level = last_in_interval(ms, order, lo, top)
+            if level is None:
                 raise InvariantViolation("minimal interval misses a required order")
         placed.append(level)
         count = len(placed) - len(anchors)
         if diffs.is_finite or count < depth:
             continue
-        omega = _limit(ms, diffs, order, (num, unit), hi)
+        omega = _limit(ms, diffs, order, top, hi)
         if omega is not None:
             break
         if count > depth + 512:
             raise InvariantViolation("sweep did not stabilise")  # unreachable
     # every D_k divides the deepest one, so heights compare over that unit
-    deepest = max((w.den for w in placed), default=1)
-    placed.sort(key=lambda w: w.numerator * (deepest // w.den))
+    deepest = max((w.denominator for w in placed), default=1)
+    placed.sort(key=lambda w: w.numerator * (deepest // w.denominator))
     if omega is None:
         return placed, None, []
-    # materialized chain levels sit below an exact limit, and at or below
-    # the floor of an enclosure
-    edge, closed = (omega.lo, True) if isinstance(omega, Interval) else (omega, False)
+    # materialized chain levels sit below an exact limit (reach -1), and at
+    # or below the floor of an enclosure (reach 0), as _cmp(w, edge) tells
+    edge, reach = (omega.lo, 0) if isinstance(omega, Interval) else (omega, -1)
     split = 0
     for w in placed:
-        gap = edge.numerator * w.den - w.numerator * edge.denominator
-        if gap < 0 or (gap == 0 and not closed):
+        if _cmp(w, edge) > reach:
             break
         split += 1
     return placed[:split], omega, placed[split:]
@@ -307,44 +299,62 @@ def _sweep_levels(space: Space, lo: Height, hi: Height, diffs: DifferenceOrders,
 #
 # Builders record a path as a list of moves in traversal order: Segments,
 # (level, from_address, to_address) jump records, and the limit height where
-# a tail hides the accumulating moves.  ``_assemble`` turns the list into a
-# PathRep and gives each jump its kind.
+# a tail hides the accumulating moves.  ``_route`` emits the list and
+# ``_assemble`` turns it into a PathRep and gives each jump its kind.
 
 
-def _side(h: Height, omega: Union[Fraction, Interval]) -> int:
-    """Direction of the run from height h into the limit omega (0: none)."""
-    num, unit = h
+def _side(h, omega: Union[Fraction, Interval]) -> int:
+    """Direction of the run from the height h into the limit omega (0: none)."""
     lo, hi = (omega.lo, omega.hi) if isinstance(omega, Interval) else (omega, omega)
-    lo_gap = lo.numerator * unit - num * lo.denominator
-    hi_gap = hi.numerator * unit - num * hi.denominator
+    lo_gap, hi_gap = _cmp(lo, h), _cmp(hi, h)
     return 1 if lo_gap >= 0 and hi_gap > 0 else -1 if hi_gap <= 0 and lo_gap < 0 else 0
 
 
-def _append_segment(moves: list, address: Address, h_from: Optional[Height], h_to: Height):
-    """Record the run from h_from to h_to, unless it is empty or hidden by a tail."""
-    if h_from is None:
-        return
-    (start, unit), (end, other) = h_from, h_to
-    if unit != other:  # level units divide each other: no gcd between two D_k
-        common = other if other % unit == 0 else unit if unit % other == 0 else lcm(unit, other)
-        start, end, unit = start * (common // unit), end * (common // other), common
-    if start != end:
-        moves.append(Segment(address, start, end, unit))
+def _append_segment(moves: list, address: Address, h_from, h_to):
+    """Record the run from h_from to h_to, unless it is empty or hidden by a tail (None)."""
+    if h_from is not None and _cmp(h_from, h_to):
+        moves.append(Segment(address, h_from, h_to))
 
 
-def _jump(moves: list, address: Address, h: Optional[Height], level: WormholeLevel) -> tuple[Address, Height]:
+def _jump(moves: list, address: Address, h, level: WormholeLevel) -> tuple[Address, WormholeLevel]:
     """Record the run from h to level and the jump there; return the new address and height."""
-    here = (level.numerator, level.den)
-    _append_segment(moves, address, h, here)
+    _append_segment(moves, address, h, level)
     switched = address.switch(level.order)
     moves.append((level, address, switched))
-    return switched, here
+    return switched, level
+
+
+def _route(start: Point, end: Point, address: Address, end_address: Address,
+           levels, omega: Union[Fraction, Interval, None], post) -> list:
+    """The moves from start, at address, to end, at end_address.
+
+    A run and a jump reach each level, then (unless omega is None) the
+    tail and each post level beyond it; a last run reaches the end height.
+    """
+    moves: list = []
+    h = start.height
+    for level in levels:
+        address, h = _jump(moves, address, h, level)
+    if omega is not None:
+        moves.append(omega)
+        address = end_address
+        for level in post:
+            address = address.switch(level.order)  # undo the post flips: limit address
+        # past a certified enclosure the run up to the first post move stays
+        # implicit; everything after it is exact
+        h = omega if isinstance(omega, Fraction) else None
+        for level in post:
+            address, h = _jump(moves, address, h, level)
+    _append_segment(moves, address, h, end.height)
+    if address != end_address:
+        raise InvariantViolation("path ends at the wrong address")
+    return moves
 
 
 def _flip(move):
     """The move walked the other way."""
     if isinstance(move, Segment):
-        return Segment(move.address, move.end, move.start, move.unit)
+        return Segment(move.address, move.end, move.start)
     if isinstance(move, tuple):
         return (move[0], move[2], move[1])
     return move
@@ -360,8 +370,7 @@ def _assemble(start: Point, end: Point, moves: list) -> PathRep:
     elements: list = []
     pending: list[tuple[int, Optional[int]]] = []  # jumps still lacking the side out
     into: Optional[int] = None
-    h = _units(start.height)
-    jumps = 0
+    h = start.height
     tail = None
     split = None
 
@@ -376,17 +385,16 @@ def _assemble(start: Point, end: Point, moves: list) -> PathRep:
         if isinstance(move, tuple):
             pending.append((len(elements), into))
             elements.append(move)
-            jumps += 1
-            h = (move[0].numerator, move[0].den)
+            h = move[0]
             continue
         if isinstance(move, Segment):
             direction = move.direction
             elements.append(move)
-            h = (move.end, move.unit)
+            h = move.end
         else:
             direction = _side(h, move)
             split = len(elements)
-            tail = Tail(move, jumps, direction)
+            tail = Tail(move, sum(not isinstance(e, Segment) for e in elements), direction)
         if direction:
             if pending:
                 settle(direction)
@@ -399,12 +407,7 @@ def _assemble(start: Point, end: Point, moves: list) -> PathRep:
 
 def _resting(point: Point) -> PathRep:
     """The path from a point to itself: one empty segment."""
-    h = point.height
-    return PathRep(point, point, (Segment(point.address, h.numerator, h.numerator, h.denominator),))
-
-
-def _at(level: WormholeLevel, h: Fraction) -> bool:
-    return level.numerator * h.denominator == h.numerator * level.den
+    return PathRep(point, point, (Segment(point.address, point.height, point.height),))
 
 
 def geodesic_path(space: Space, x: Point, y: Point, depth: int = 8) -> PathRep:
@@ -412,9 +415,10 @@ def geodesic_path(space: Space, x: Point, y: Point, depth: int = 8) -> PathRep:
 
     Built from the lower endpoint: descend to a, sweep monotonically up to
     b taking one jump per required order, descend to the other endpoint;
-    degenerate legs are omitted.  The result makes at most two inversions
-    and its length equals the distance exactly whenever the limit height is
-    exact (always so for an integer scale).
+    degenerate legs are omitted.  A witness at a or b beyond the endpoints
+    is an anchor, so the sweep's first or last level.  The result makes at
+    most two inversions and its length equals the distance exactly
+    whenever the limit height is exact (always so for an integer scale).
     """
     if x == y:
         return _resting(x)
@@ -423,35 +427,12 @@ def geodesic_path(space: Space, x: Point, y: Point, depth: int = 8) -> PathRep:
     diffs = difference_orders(low.address, high.address)
     anchors: dict[int, WormholeLevel] = {}
     for order, witness in interval.witnesses:
-        boundary_low = interval.a < low.height and _at(witness, interval.a)
-        boundary_high = interval.b > high.height and _at(witness, interval.b)
+        boundary_low = interval.a < low.height and _cmp(witness, interval.a) == 0
+        boundary_high = interval.b > high.height and _cmp(witness, interval.b) == 0
         if boundary_low or boundary_high:
             anchors[order] = witness
-    a, b = _units(interval.a), _units(interval.b)
-    pre, omega, post = _sweep_levels(space, a, b, diffs, anchors, depth)
-
-    moves: list = []
-    address = low.address
-    _append_segment(moves, address, _units(low.height), a)
-    h = a
-    for level in pre:
-        address, h = _jump(moves, address, h, level)
-    if omega is None:
-        _append_segment(moves, address, h, b)
-        h = b
-    else:
-        moves.append(omega)
-        address = high.address
-        for level in post:
-            address = address.switch(level.order)  # undo the post flips: limit address
-        # past a certified enclosure the run up to the first post move stays
-        # implicit; everything after it is exact
-        h = _units(omega) if isinstance(omega, Fraction) else None
-        for level in post:
-            address, h = _jump(moves, address, h, level)
-    _append_segment(moves, address, h, _units(high.height))
-    if address != high.address:
-        raise InvariantViolation("geodesic ends at the wrong address")
+    pre, omega, post = _sweep_levels(space, interval.a, interval.b, diffs, anchors, depth)
+    moves = _route(low, high, low.address, high.address, pre, omega, post)
     if low is not x:
         moves = [_flip(move) for move in reversed(moves)]
     return _assemble(x, y, moves)
@@ -461,20 +442,17 @@ def geodesic_path(space: Space, x: Point, y: Point, depth: int = 8) -> PathRep:
 # the constructive connection algorithm
 
 
-def _pick_level(ms: MSequence, order: int, h: Height, strategy: str, upward: bool) -> WormholeLevel:
-    num, unit = h
+def _pick_level(ms: MSequence, order: int, h, strategy: str, upward: bool) -> WormholeLevel:
     if strategy == NEAREST:
-        below = snap_units(ms, order, num, unit, up=False)
-        above = snap_units(ms, order, num, unit, up=True)
+        below, above = snap(ms, order, h, up=False), snap(ms, order, h, up=True)
         if below is None or above is None:  # every order has a level in (0, 1)
             return below or above
-        # h - below < above - h over the unit D_order * unit; an exact tie
-        # follows the worked construction and goes above
-        closer = 2 * num * below.den < (below.numerator + above.numerator) * unit
+        # 2h < below + above in integers; a tie goes above, as in the worked example
+        closer = (2 * h.numerator * below.denominator
+                  < (below.numerator + above.numerator) * h.denominator)
         return below if closer else above
     # the side towards the target, or the other when it has no level
-    return (snap_units(ms, order, num, unit, up=upward)
-            or snap_units(ms, order, num, unit, up=not upward))
+    return snap(ms, order, h, up=upward) or snap(ms, order, h, up=not upward)
 
 
 def connect(space: Space, x: Point, y: Point, strategy: str = NEAREST, depth: int = 8) -> PathRep:
@@ -505,38 +483,32 @@ def connect(space: Space, x: Point, y: Point, strategy: str = NEAREST, depth: in
     # sweeps, down towards 0 otherwise
     upward = y.height >= x.height
     rising = strategy == NEAREST or upward
-    moves: list = []
-    address = start_address
-    h = _units(x.height)
+    levels: list[WormholeLevel] = []
+    omega: Union[Fraction, Interval, None] = None
+    h = x.height
     for count, order in enumerate(diffs, 1):
-        level = _pick_level(ms, order, h, strategy, upward)
-        address, h = _jump(moves, address, h, level)
+        h = _pick_level(ms, order, h, strategy, upward)
+        levels.append(h)
         if diffs.is_finite or count < depth:
             continue
-        omega = _limit(ms, diffs, order, h, (int(rising), 1))
+        omega = _limit(ms, diffs, order, h, int(rising))
         if omega is None:
             raise InvariantViolation("connect's limit lies outside [0, 1]")
-        moves.append(omega)
-        address = end_address
-        h = _units(omega) if isinstance(omega, Fraction) else None
         break
-    _append_segment(moves, address, h, _units(y.height))
-    if address != end_address:
-        raise InvariantViolation("path ends at the wrong address")
-    return _assemble(x, y, moves)
+    return _assemble(x, y, _route(x, y, start_address, end_address, levels, omega, ()))
 
 
 # ---------------------------------------------------------------------------
 # measurements over paths
 
 
-def _heights(elements) -> list[Height]:
-    out: list[Height] = []
+def _heights(elements) -> list:
+    out: list = []
     for element in elements:
         if isinstance(element, Segment):
-            out += ((element.start, element.unit), (element.end, element.unit))
+            out += (element.start, element.end)
         else:
-            out.append((element.level.numerator, element.level.den))
+            out.append(element.level)
     return out
 
 
@@ -554,21 +526,20 @@ def path_length(path: PathRep) -> Union[Fraction, Interval]:
     otherwise the enclosure that omega's enclosure gives.  Every height is
     taken over one common unit, so the sum is integer arithmetic.
     """
-    heights = [_units(path.start.height), *_heights(path.items)]
+    heights = [path.start.height, *_heights(path.items)]
     cut = len(heights)
     heights += _heights(path.post)
-    heights.append(_units(path.end.height))
+    heights.append(path.end.height)
     if path.tail is not None:
         omega = path.tail.omega
-        lo, hi = (omega.lo, omega.hi) if isinstance(omega, Interval) else (omega, omega)
-        heights += (_units(lo), _units(hi))
-    units = {unit for _, unit in heights}
-    common = max(units)
-    for unit in units:
-        if common % unit:  # level units D_k divide the deepest one
-            common = lcm(common, unit)
-    factor = {unit: common // unit for unit in units}
-    scaled = [num * factor[unit] for num, unit in heights]
+        heights += (omega.lo, omega.hi) if isinstance(omega, Interval) else (omega, omega)
+    dens = {h.denominator for h in heights}
+    common = max(dens)
+    for den in dens:
+        if common % den:  # level denominators D_k divide the deepest one
+            common = lcm(common, den)
+    factor = {den: common // den for den in dens}
+    scaled = [h.numerator * factor[h.denominator] for h in heights]
     if path.tail is None:
         return Fraction(_run(scaled), common)
     hi = scaled.pop()

@@ -102,25 +102,26 @@ class MSequence:
 
 @dataclass(frozen=True)
 class WormholeLevel:
-    """A single identification height: value = numerator / den, den = D_order.
+    """A single identification height: numerator / denominator, denominator = D_order.
 
     The order and the numerator fix the level, and equality and hashing use
     only them.  The numerator is never a multiple of m_order, which keeps
-    level sets of different orders disjoint.  ``den`` lets callers compare
-    heights in integers; the ``Fraction`` value is built on first request
-    and kept.
+    level sets of different orders disjoint.  Like a ``Fraction`` or an
+    ``int``, a level is a height read through ``numerator`` and
+    ``denominator`` (not reduced); its ``Fraction`` value is built on first
+    request and kept.
     """
 
     order: int
     numerator: int
-    den: int = field(compare=False, repr=False)
+    denominator: int = field(compare=False, repr=False)
 
     @property
     def value(self) -> Fraction:
         cache = self.__dict__
         value = cache.get("_value")
         if value is None:
-            value = cache["_value"] = Fraction(self.numerator, self.den)
+            value = cache["_value"] = Fraction(self.numerator, self.denominator)
         return value
 
     def __str__(self):
@@ -170,13 +171,17 @@ def classify_height(ms: MSequence, y) -> Optional[WormholeLevel]:
             return WormholeLevel(k, y.numerator * (den // q), den)
 
 
-def snap_units(ms: MSequence, k: int, numerator: int, unit: int, up: bool) -> Optional[WormholeLevel]:
-    """``snap`` for the height numerator / unit, decided in integers."""
+def snap(ms: MSequence, k: int, y, up: bool) -> Optional[WormholeLevel]:
+    """The least order-k level at or above y (up), or the greatest at or below it.
+
+    y is any height, a Fraction, an int or a level, compared in integers;
+    None when no order-k level lies on that side.
+    """
     den = ms.D(k)
     if up:
-        level = max(1, -(-numerator * den // unit))
+        level = max(1, -(-y.numerator * den // y.denominator))
     else:
-        level = min(den - 1, numerator * den // unit)
+        level = min(den - 1, y.numerator * den // y.denominator)
     if level % ms.entry(k) == 0:
         level += 1 if up else -1
     if not 0 < level < den:
@@ -184,26 +189,18 @@ def snap_units(ms: MSequence, k: int, numerator: int, unit: int, up: bool) -> Op
     return WormholeLevel(k, level, den)
 
 
-def snap(ms: MSequence, k: int, y, up: bool) -> Optional[WormholeLevel]:
-    """The least order-k level at or above y (up), or the greatest at or below it.
-
-    y is a Fraction or an int; None when no order-k level lies on that side.
-    """
-    return snap_units(ms, k, y.numerator, y.denominator, up)
-
-
 def first_in_interval(ms: MSequence, k: int, lo, hi) -> Optional[WormholeLevel]:
-    """Least order-k level inside [lo, hi], by numerator arithmetic."""
+    """Least order-k level inside [lo, hi]; the bounds are heights, as for ``snap``."""
     level = snap(ms, k, lo, up=True)
-    if level is None or level.numerator * hi.denominator > hi.numerator * level.den:
+    if level is None or level.numerator * hi.denominator > hi.numerator * level.denominator:
         return None
     return level
 
 
 def last_in_interval(ms: MSequence, k: int, lo, hi) -> Optional[WormholeLevel]:
-    """Greatest order-k level inside [lo, hi]."""
+    """Greatest order-k level inside [lo, hi]; the bounds are heights, as for ``snap``."""
     level = snap(ms, k, hi, up=False)
-    if level is None or level.numerator * lo.denominator < lo.numerator * level.den:
+    if level is None or level.numerator * lo.denominator < lo.numerator * level.denominator:
         return None
     return level
 
@@ -237,4 +234,4 @@ def levels_in_range(ms: MSequence, k: int, lo, hi) -> Iterator[WormholeLevel]:
     m_k = ms.entry(k)
     for numerator in range(first.numerator, last.numerator + 1):
         if numerator % m_k:
-            yield WormholeLevel(k, numerator, first.den)
+            yield WormholeLevel(k, numerator, first.denominator)

@@ -1,9 +1,13 @@
-"""Every public name has a caller: no export exists only for the tests.
+"""Every public name and every helper has a caller: nothing exists only for the tests.
 
 A name in ``laakso.__all__`` passes when a module of ``src/laakso`` other
 than ``__init__.py`` loads it outside its own top-level definition, or when
 ``bench/`` names it (as an identifier, an attribute or a string, so that a
-function the benchmark wraps by name counts).
+function the benchmark wraps by name counts).  A helper, a top-level
+function or class that is not exported (private or not), passes on the
+same terms, except that a load in its own module or an attribute load
+(``oracle_mod.iter_edges``) counts too.  A decorated function is skipped:
+its decorator registers it (the CLI commands).
 """
 
 import ast
@@ -57,6 +61,19 @@ def unused_exports(exports, sources: dict[str, str], bench: list[str]) -> list[s
     return sorted(name for name in exports if name not in callers)
 
 
+def unused_helpers(exports, sources: dict[str, str], bench: list[str]) -> list[str]:
+    callers = source_uses(sources) | bench_mentions(bench)
+    helpers = set()
+    for source in sources.values():
+        tree = ast.parse(source)
+        callers |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        helpers |= {statement.name for statement in tree.body
+                    if isinstance(statement, ast.ClassDef) or (isinstance(statement, ast.FunctionDef)
+                                                               and not statement.decorator_list)}
+    return sorted(name for name in helpers - callers
+                  if name not in exports and not name.startswith("__"))
+
+
 def test_every_export_has_a_caller():
     sources = {path.name: path.read_text() for path in SOURCE.glob("*.py")}
     bench = [path.read_text() for path in (ROOT / "bench").glob("*.py")]
@@ -71,3 +88,20 @@ def test_an_export_nothing_calls_is_caught():
     }
     assert unused_exports(["helper", "used"], sources, []) == ["helper"]
     assert unused_exports(["helper"], sources, ['TARGETS = (("one", "helper"),)']) == []
+
+
+def test_every_helper_has_a_caller():
+    sources = {path.name: path.read_text() for path in SOURCE.glob("*.py")}
+    bench = [path.read_text() for path in (ROOT / "bench").glob("*.py")]
+    assert unused_helpers(laakso.__all__, sources, bench) == []
+
+
+def test_a_helper_nothing_calls_is_caught():
+    sources = {
+        "one.py": "def _left(x):\n    return _left(x - 1)\n\nclass _Kept:\n    pass\n\n"
+                  "def loaded():\n    return _Kept()\n\ndef left_over():\n    pass\n\n"
+                  "def exported():\n    pass\n\ndef __getattr__(name):\n    pass\n",
+        "two.py": "from . import one\n\n@one.register\ndef command(_left):\n    return one.loaded(_left)\n",
+    }
+    assert unused_helpers(["exported"], sources, []) == ["_left", "left_over"]
+    assert unused_helpers(["exported"], sources, ['TARGETS = (("one", "_left"),)']) == ["left_over"]

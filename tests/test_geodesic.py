@@ -11,6 +11,7 @@ from laakso import (
     Address,
     Interval,
     Segment,
+    WormholeLevel,
     classify,
     classify_height,
     connect,
@@ -246,16 +247,17 @@ class TestWork:
 
 class TestSegment:
     def test_equality_and_hash_follow_the_heights_whatever_the_unit(self):
+        # heights held as Fractions, ints and levels (numerators over D_k)
         a, b = Address((0,), (1,)), Address((), (1,))
-        third = Segment(a, 1, 2, 3)
-        same = Segment(a, 3, 6, 9)
+        third = Segment(a, Fraction(1, 3), Fraction(2, 3))
+        same = Segment(a, WormholeLevel(1, 1, 3), WormholeLevel(1, 2, 3))
         assert third == same and hash(third) == hash(same)
-        assert third == Segment(a, Fraction(1, 3), Fraction(2, 3))
         assert (same.h_start, same.h_end, same.direction) == (Fraction(1, 3), Fraction(2, 3), 1)
-        assert third != Segment(a, 1, 2, 4)
-        assert third != Segment(a, 2, 1, 3)
-        assert third != Segment(b, 1, 2, 3)
-        assert len({third, same, Segment(a, 2, 4, 6)}) == 1
+        assert Segment(a, 0, WormholeLevel(1, 1, 3)) == Segment(a, Fraction(0), Fraction(1, 3))
+        assert third != Segment(a, Fraction(1, 4), Fraction(2, 4))
+        assert third != Segment(a, Fraction(2, 3), Fraction(1, 3))
+        assert third != Segment(b, Fraction(1, 3), Fraction(2, 3))
+        assert len({third, same, Segment(a, Fraction(2, 6), WormholeLevel(1, 2, 3))}) == 1
 
 
 class TestGeodesic:
@@ -445,7 +447,7 @@ def test_validate_checks_survive_optimisation():
         "s3 = Space.from_ratio(3)\n"
         "x, y = s3.parse_point('(0)@1/5'), s3.parse_point('101(0)@1/10')\n"
         "path = geodesic_path(s3, x, y)\n"
-        "broken = PathRep(x, y, (Segment(x.address, 0, 10, 10),) + path.items[1:])\n"
+        "broken = PathRep(x, y, (Segment(x.address, 0, 1),) + path.items[1:])\n"
         "try:\n"
         "    validate(broken, s3)\n"
         "except AssertionError as exc:\n"

@@ -7,7 +7,9 @@ the metric axioms, that the geodesic's length is the distance,
 that constructive paths are no shorter, that reversal changes nothing, and
 that two literals of the same point parse to the same canonical point.
 On four fixed spaces it also checks that path lengths and segment
-directions, computed in integer units, agree with Fraction arithmetic.
+directions, computed by integer cross-multiplication, agree with Fraction
+arithmetic, and that a path's segments are non-empty and alternate with
+its jumps.
 """
 
 from fractions import Fraction
@@ -19,6 +21,7 @@ from laakso import (
     Address,
     InfeasibleSequence,
     Interval,
+    Segment,
     Space,
     classify_height,
     connect,
@@ -150,3 +153,8 @@ def test_integer_lengths_and_directions_match_fraction_arithmetic(data):
         for segment in path.segments():
             ends = segment.h_start, segment.h_end
             assert segment.direction == (ends[1] > ends[0]) - (ends[1] < ends[0])
+            # no empty segment, except the one of the path from a point to itself
+            assert segment.direction or x == y
+        for moves in (path.items, path.post):  # segments and jumps alternate
+            assert not any(isinstance(a, Segment) and isinstance(b, Segment)
+                           for a, b in zip(moves, moves[1:]))

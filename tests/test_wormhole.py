@@ -3,6 +3,7 @@ import functools
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import mpmath
 import pytest
@@ -320,6 +321,28 @@ class TestLevelProperties:
         digits = level_digits(ms, level)
         assert omega_value(ms, digits) == level
         assert len(digits) == k and digits[-1] != 0
+
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), k=st.integers(1, 5))
+    def test_levels_are_heights(self, name, data, k):
+        # a level goes into a query as its numerator over D_order, which need
+        # not be reduced: such levels are drawn half of the time where they exist
+        ms = LEVEL_SPACES[name]
+        order = data.draw(st.integers(1, 4))
+        den = ms.D(order)
+        numerators = [j for j in range(1, den) if j % ms.entry(order)]
+        shared = [j for j in numerators if gcd(j, den) > 1]
+        drawn = st.sampled_from(numerators)
+        w = classify_height(ms, Fraction(data.draw(st.sampled_from(shared) | drawn if shared else drawn), den))
+        assert (w.order, w.denominator) == (order, den)
+        y = data.draw(heights(ms))
+        for up in (False, True):
+            assert snap(ms, k, w, up) == snap(ms, k, w.value, up)
+        assert first_in_interval(ms, k, w, y) == first_in_interval(ms, k, w.value, y)
+        assert last_in_interval(ms, k, y, w) == last_in_interval(ms, k, y, w.value)
+        assert first_in_interval(ms, k, y, w) == first_in_interval(ms, k, y, w.value)
+        assert last_in_interval(ms, k, w, y) == last_in_interval(ms, k, w.value, y)
 
 
 class TestDeepLevels:
