@@ -60,7 +60,7 @@ def _distance_json(space: Space, x, y) -> dict:
 
 
 def _path_json(path: PathRep):
-    label, _ = classify(path)
+    label, kinds = classify(path)
     limit = None
     if path.tail is not None:
         limit = {
@@ -80,8 +80,8 @@ def _path_json(path: PathRep):
             for s in path.segments()
         ],
         "jumps": [
-            {"order": j.level.order, "height": _text(j.level.value), "kind": j.kind}
-            for j in path.jumps()
+            {"order": j.level.order, "height": _text(j.level.value), "kind": kind}
+            for j, kind in zip(path.jumps(), kinds)
         ],
         "limit": limit,
     }

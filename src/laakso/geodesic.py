@@ -96,7 +96,6 @@ class Jump:
     level: WormholeLevel
     from_address: Address
     to_address: Address
-    kind: str = UPWARD
 
     @property
     def height(self) -> Fraction:
@@ -298,9 +297,8 @@ def _sweep_levels(space: Space, lo: Fraction, hi: Fraction, diffs: DifferenceOrd
 # path assembly
 #
 # Builders record a path as a list of moves in traversal order: Segments,
-# (level, from_address, to_address) jump records, and the limit height where
-# a tail hides the accumulating moves.  ``_route`` emits the list and
-# ``_assemble`` turns it into a PathRep and gives each jump its kind.
+# Jumps, and the limit height where a tail hides the accumulating moves.
+# ``_route`` emits the list and ``_assemble`` splits it at the limit.
 
 
 def _side(h, omega: Union[Fraction, Interval]) -> int:
@@ -320,7 +318,7 @@ def _jump(moves: list, address: Address, h, level: WormholeLevel) -> tuple[Addre
     """Record the run from h to level and the jump there; return the new address and height."""
     _append_segment(moves, address, h, level)
     switched = address.switch(level.order)
-    moves.append((level, address, switched))
+    moves.append(Jump(level, address, switched))
     return switched, level
 
 
@@ -355,54 +353,22 @@ def _flip(move):
     """The move walked the other way."""
     if isinstance(move, Segment):
         return Segment(move.address, move.end, move.start)
-    if isinstance(move, tuple):
-        return (move[0], move[2], move[1])
+    if isinstance(move, Jump):
+        return Jump(move.level, move.to_address, move.from_address)
     return move
 
 
 def _assemble(start: Point, end: Point, moves: list) -> PathRep:
-    """The PathRep of a move list, each jump's kind fixed from its sides.
-
-    A jump's sides are the nearest vertical moves before and after it, a
-    tail counting by the side of its limit; with motion on one side only,
-    that side stands for both, and a jump with none is upward.
-    """
-    elements: list = []
-    pending: list[tuple[int, Optional[int]]] = []  # jumps still lacking the side out
-    into: Optional[int] = None
-    h = start.height
-    tail = None
-    split = None
-
-    def settle(out: Optional[int]) -> None:
-        for idx, before in pending:
-            before, after = before or out, out or before
-            kind = INVERSION if before != after else DOWNWARD if before == -1 else UPWARD
-            elements[idx] = Jump(*elements[idx], kind)
-        pending.clear()
-
-    for move in moves:
-        if isinstance(move, tuple):
-            pending.append((len(elements), into))
-            elements.append(move)
-            h = move[0]
-            continue
-        if isinstance(move, Segment):
-            direction = move.direction
-            elements.append(move)
-            h = move.end
-        else:
-            direction = _side(h, move)
-            split = len(elements)
-            tail = Tail(move, sum(not isinstance(e, Segment) for e in elements), direction)
-        if direction:
-            if pending:
-                settle(direction)
-            into = direction
-    settle(None)
-    if tail is None:
-        return PathRep(start, end, tuple(elements))
-    return PathRep(start, end, tuple(elements[:split]), tail, tuple(elements[split:]))
+    """The PathRep of a move list: the moves before the limit, its Tail, the moves after it."""
+    for split, move in enumerate(moves):
+        if isinstance(move, (Fraction, Interval)):
+            break
+    else:
+        return PathRep(start, end, tuple(moves))
+    items = tuple(moves[:split])
+    h = (_heights(items) or [start.height])[-1]
+    tail = Tail(move, sum(isinstance(e, Jump) for e in items), _side(h, move))
+    return PathRep(start, end, items, tail, tuple(moves[split + 1:]))
 
 
 def _resting(point: Point) -> PathRep:
@@ -558,18 +524,36 @@ def path_length(path: PathRep) -> Union[Fraction, Interval]:
 
 
 def classify(path: PathRep) -> tuple[str, tuple[str, ...]]:
-    """Overall monotonicity label plus the per-jump kinds."""
-    kinds = tuple(j.kind for j in path.jumps())
-    directions = {s.direction for s in path.segments()}
+    """Overall monotonicity label plus the per-jump kinds.
+
+    A jump's kind compares the nearest segment or tail directions before
+    and after it; one side stands for both, and with neither it is upward.
+    """
+    steps = [m.direction if isinstance(m, Segment) else None for m in path.items]  # None: a jump
     if path.tail is not None:
-        directions.add(path.tail.side)
-    if INVERSION in kinds or {1, -1} <= directions:
+        steps.append(path.tail.side)
+    steps += (m.direction if isinstance(m, Segment) else None for m in path.post)
+    outs, out = [], 0  # the direction after each jump, found from the end
+    for step in reversed(steps):
+        if step is None:
+            outs.append(out)
+        else:
+            out = step or out
+    kinds, into = [], 0
+    for step in steps:
+        if step is None:
+            out = outs.pop()
+            before, after = into or out, out or into
+            kinds.append(INVERSION if before != after else DOWNWARD if before < 0 else UPWARD)
+        else:
+            into = step or into
+    if {1, -1} <= set(steps):
         label = OSCILLATING
-    elif -1 in directions:
+    elif -1 in steps:
         label = MONOTONE_DOWN
     else:
         label = MONOTONE_UP
-    return label, kinds
+    return label, tuple(kinds)
 
 
 def validate(path: PathRep, space: Space) -> None:
