@@ -8,7 +8,8 @@ for pairs with cycles up to 24 digits, half of them sharing an infinite
 tail behind different prefixes so that they differ at finitely many orders.  Sequence cases hash the
 printed scale, n and the first 200 branching entries of seeded scales and
 dimensions.  Run this file as a script to record ``golden_sha256.txt`` and
-``golden_sequences_sha256.txt`` again after an intended change of output.
+``golden_sequences_sha256.txt`` again after an intended change of output;
+it prints the names of the cases whose digest changed.
 """
 
 import hashlib
@@ -183,5 +184,8 @@ def test_outputs_match_recorded():
 if __name__ == "__main__":
     for data, cases in ((DATA, [*_cli_cases(), *_random_cases(), *_tail_cases()]),
                         (SEQUENCE_DATA, list(_sequence_cases()))):
+        recorded = _recorded(data)
+        differ = [case for case, digest in cases if recorded.get(case) != digest]
         data.write_text("".join(f"{digest}  {case}\n" for case, digest in cases))
-        print(f"recorded {len(cases)} cases in {data}")
+        print(f"recorded {len(cases)} cases in {data}, {len(differ)} of them changed:")
+        print("".join(f"  {case}\n" for case in differ), end="")
