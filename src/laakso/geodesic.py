@@ -104,7 +104,12 @@ class Jump:
 
 @dataclass(frozen=True)
 class Tail:
-    """Accumulation record for the truncated infinite part of a path."""
+    """Accumulation record for the truncated infinite part of a path.
+
+    ``side`` is the direction of the run from the last height before the
+    tail into omega.  The run out of omega is not stored: ``classify``
+    reads it off the first height the path shows after the tail.
+    """
 
     omega: Union[Fraction, Interval]
     truncated_at: int
@@ -526,12 +531,15 @@ def path_length(path: PathRep) -> Union[Fraction, Interval]:
 def classify(path: PathRep) -> tuple[str, tuple[str, ...]]:
     """Overall monotonicity label plus the per-jump kinds.
 
-    A jump's kind compares the nearest segment or tail directions before
-    and after it; one side stands for both, and with neither it is upward.
+    Each vertical move has a direction: a segment's, and for a tail both
+    the run into its limit and the run out of it.  A jump's kind compares
+    the nearest moves with a direction before and after it; one side
+    stands for both, and with neither it is upward.
     """
     steps = [m.direction if isinstance(m, Segment) else None for m in path.items]  # None: a jump
-    if path.tail is not None:
-        steps.append(path.tail.side)
+    if path.tail is not None:  # the run into the limit and the run out of it
+        after = (_heights(path.post) or [path.end.height])[0]
+        steps += (path.tail.side, -_side(after, path.tail.omega))
     steps += (m.direction if isinstance(m, Segment) else None for m in path.post)
     outs, out = [], 0  # the direction after each jump, found from the end
     for step in reversed(steps):

@@ -243,6 +243,20 @@ class TestGeodesicAndPath:
         kinds = [j["kind"] for j in json.loads(result.output)["path"]["jumps"]]
         assert kinds.count("inversion") == 2
 
+    @pytest.mark.parametrize("args, label, kinds", [
+        # an interval tail: the run from the limit down to the end is implicit
+        (("-s", "7/2", "path", "0111(001)@46/97", "10000000(1)@11/24", "--strategy", "nearest"),
+         "oscillating", ["upward"] * 8),
+        # walked from its upper end: an explicit segment reaches the exact
+        # limit, and the descent out of it is hidden
+        (("-s", "3", "geodesic", "00000000(1)@5/9", "0100(01)@37/81", "--depth", "1"),
+         "monotone-down", ["downward"]),
+    ])
+    def test_a_tail_counts_its_run_out_of_the_limit(self, runner, args, label, kinds):
+        path = json.loads(invoke(runner, *args).output)["path"]
+        assert path["class"] == label
+        assert [j["kind"] for j in path["jumps"]] == kinds
+
     def test_path_strategies_differ_on_worked_pair(self, runner):
         nearest = json.loads(
             invoke(runner, "-s", "3", "path", "(0)@1/5", "101(0)@1/10").output

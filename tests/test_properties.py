@@ -9,20 +9,24 @@ that two literals of the same point parse to the same canonical point.
 On four fixed spaces it also checks that path lengths and segment
 directions, computed by integer cross-multiplication, agree with Fraction
 arithmetic, and that a path's segments are non-empty and alternate with
-its jumps.
+its jumps.  Two seeded checks on fixed spaces cover ``classify``: a path's
+label agrees with the way its end lies from its start, and a geodesic
+walked the other way reads its label and kinds in reverse.
 """
 
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import sandwich_holds, stepwise_length
+from conftest import random_point, sandwich_holds, stepwise_length
 from laakso import (
     Address,
     InfeasibleSequence,
     Interval,
     Segment,
     Space,
+    classify,
     classify_height,
     connect,
     distance,
@@ -158,3 +162,46 @@ def test_integer_lengths_and_directions_match_fraction_arithmetic(data):
         for moves in (path.items, path.post):  # segments and jumps alternate
             assert not any(isinstance(a, Segment) and isinstance(b, Segment)
                            for a, b in zip(moves, moves[1:]))
+
+
+def _seeded_pairs(space: Space, seed: int, count: int):
+    """count seeded pairs of distinct points, heights on the order-3 grid or in 81sts."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        den = rng.choice((81, space.mseq.D(3)))
+        x, y = (random_point(space, rng, height_denominator=den) for _ in range(2))
+        if x != y:
+            yield x, y
+
+
+def test_a_path_is_never_labelled_against_the_way_its_end_lies():
+    # a tail hides two runs, into its limit and out of it; both count
+    for space in FIXED_SPACES:
+        for x, y in _seeded_pairs(space, 7, 200):
+            for depth in (1, 8):
+                for path in (geodesic_path(space, x, y, depth),
+                             connect(space, x, y, "nearest", depth),
+                             connect(space, x, y, "increasing", depth)):
+                    label, _ = classify(path)
+                    if y.height < x.height:
+                        assert label != "monotone-up", (str(x), str(y), depth)
+                    if y.height > x.height:
+                        assert label != "monotone-down", (str(x), str(y), depth)
+
+
+SWAPPED = {"upward": "downward", "downward": "upward", "inversion": "inversion",
+           "monotone-up": "monotone-down", "monotone-down": "monotone-up",
+           "oscillating": "oscillating"}
+
+
+def test_a_geodesic_walked_back_reads_its_kinds_in_reverse():
+    # with equal heights each orientation sweeps upward, so they are left out
+    space = FIXED_SPACES[0]
+    for x, y in _seeded_pairs(space, 11, 300):
+        if x.height == y.height:
+            continue
+        for depth in (1, 2, 8):
+            label, kinds = classify(geodesic_path(space, x, y, depth))
+            back = classify(geodesic_path(space, y, x, depth))
+            assert back == (SWAPPED[label], tuple(SWAPPED[k] for k in reversed(kinds))), \
+                (str(x), str(y), depth)
