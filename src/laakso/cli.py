@@ -1,9 +1,11 @@
 """Command-line surface: exact distances, paths and verification artifacts.
 
 Every fraction is emitted as an exact "p/q" string, never a float.  Exit
-codes: 0 on success, 2 on any parse/usage error, 3 on an infeasible
-branching override, a scale, a level listing or an oracle graph over its
-budget, a number too long to print, or a broken internal invariant.
+codes: 0 on success, 1 when ``oracle-check`` finds a discrepancy, 2 on any
+parse/usage error or an SVG file that cannot be written, 3 on an
+infeasible branching override, a scale, a level listing or an oracle graph
+over its budget, a number too long to print, or a broken internal
+invariant.
 """
 
 from __future__ import annotations
@@ -203,8 +205,11 @@ def geodesic_cmd(cfg, x, y, depth, svg_out):
         return
     path = geodesic_path(sp, px, py, depth)
     if svg_out:
-        with open(svg_out, "w") as handle:
-            handle.write(path_svg(sp, path))
+        try:
+            with open(svg_out, "w") as handle:
+                handle.write(path_svg(sp, path))
+        except OSError as exc:
+            raise ParseError(f"cannot write {svg_out!r}: {exc.strerror}") from None
     _emit({**_distance_json(sp, px, py), "path": _path_json(path)})
 
 

@@ -234,6 +234,13 @@ class TestGeodesicAndPath:
         text = svg.read_text()
         assert text.startswith("<svg") and "dasharray" in text
 
+    def test_svg_into_a_missing_directory_exits_2(self, runner, tmp_path):
+        target = tmp_path / "missing" / "figure.svg"
+        result = invoke(runner, "-s", "3", "geodesic", "(0)@0", "(1)@1", "--svg", str(target))
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == f"error: cannot write {str(target)!r}: No such file or directory\n"
+
     @pytest.mark.parametrize("depth", ["4", "8", "32"])
     def test_interval_tail_kinds(self, runner, depth):
         result = invoke(
