@@ -537,9 +537,9 @@ def classify(path: PathRep) -> tuple[str, tuple[str, ...]]:
     stands for both, and with neither it is upward.
     """
     steps = [m.direction if isinstance(m, Segment) else None for m in path.items]  # None: a jump
-    if path.tail is not None:  # the run into the limit and the run out of it
-        after = (_heights(path.post) or [path.end.height])[0]
-        steps += (path.tail.side, -_side(after, path.tail.omega))
+    if path.tail is not None:
+        next_h = (_heights(path.post) or [path.end.height])[0]
+        steps += (path.tail.side, -_side(next_h, path.tail.omega))
     steps += (m.direction if isinstance(m, Segment) else None for m in path.post)
     outs, out = [], 0  # the direction after each jump, found from the end
     for step in reversed(steps):
