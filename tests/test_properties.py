@@ -165,7 +165,7 @@ def test_integer_lengths_and_directions_match_fraction_arithmetic(data):
 
 
 def _seeded_pairs(space: Space, seed: int, count: int):
-    """count seeded pairs of distinct points, heights on the order-3 grid or in 81sts."""
+    """Up to count seeded pairs of distinct points, heights on the order-3 grid or in 81sts."""
     rng = random.Random(seed)
     for _ in range(count):
         den = rng.choice((81, space.mseq.D(3)))
