@@ -27,30 +27,26 @@ class Address:
     Canonical form: the cycle is primitive and rotated to its
     lexicographically least phase (the displaced digits are pushed into the
     prefix), and the prefix does not end with a whole copy of the cycle.
+    Digits are tuples of ints 0 and 1.  The period and the least phase are
+    read off the cycle as a byte string, searched and compared in C.
     """
 
     prefix: tuple[int, ...]
     cycle: tuple[int, ...]
 
     def __post_init__(self):
-        pre = tuple(int(d) for d in self.prefix)
-        cyc = tuple(int(d) for d in self.cycle)
+        pre, cyc = self.prefix, self.cycle
         if not cyc:
             raise ValueError("cycle must be nonempty")
         if any(d not in (0, 1) for d in pre + cyc):
             raise ValueError("digits must be 0 or 1")
-        # primitive cycle
-        m = len(cyc)
-        for d in range(1, m):
-            if m % d == 0 and cyc == cyc[:d] * (m // d):
-                cyc = cyc[:d]
-                m = d
-                break
+        # the primitive period is the first shift at which the cycle recurs
+        text = bytes(cyc)
+        m = (text + text).find(text, 1)
         # lexicographically least rotation, compensated through the prefix
-        j = min(range(m), key=lambda t: cyc[t:] + cyc[:t])
-        pre = pre + cyc[:j]
-        cyc = cyc[j:] + cyc[:j]
-        self._store(pre, cyc)
+        doubled = text[:m] * 2
+        j = min(range(m), key=lambda t: doubled[t:t + m])
+        self._store(pre + cyc[:j], tuple(doubled[j:j + m]))
 
     def _store(self, pre: tuple[int, ...], cyc: tuple[int, ...]) -> "Address":
         """Set the parts from a canonical cycle, absorbing trailing whole copies of it."""

@@ -106,14 +106,12 @@ class Jump:
 class Tail:
     """Accumulation record for the truncated infinite part of a path.
 
-    ``side`` is the direction of the run from the last height before the
-    tail into omega.  The run out of omega is not stored: ``classify``
-    reads it off the first height the path shows after the tail.
+    The runs into omega and out of it are not stored: ``classify`` reads
+    them off the heights the path shows just before and just after the tail.
     """
 
     omega: Union[Fraction, Interval]
     truncated_at: int
-    side: int  # direction of the run into omega: 1 up, -1 down, 0 none
 
 
 @dataclass(frozen=True)
@@ -250,41 +248,43 @@ def _limit(ms: MSequence, diffs: DifferenceOrders, order: int, h,
 
 
 def _sweep_levels(space: Space, lo: Fraction, hi: Fraction, diffs: DifferenceOrders,
-                  anchors: dict[int, WormholeLevel], depth: int):
-    """Pick one level inside [lo, hi] per required order, sorted by height.
+                  at_lo: list[WormholeLevel], at_hi: list[WormholeLevel], depth: int):
+    """Pick one level inside [lo, hi] per required order, placed in height order.
 
-    Orders are taken ascending; each either continues the rising chain
-    (least level at or above the current height) or, when the chain has
-    outrun it, drops in below as a straggler.  Returns the levels below the
-    accumulation, the accumulation height (None when the set is finite),
-    and the levels at or above it.
+    The witnesses at lo and at hi come first and last.  The other orders
+    are taken ascending; each either continues the rising chain (least
+    level at or above the current height) or drops in below its top as a
+    straggler.  Returns the levels below the accumulation, the accumulation
+    height (None when the set is finite), and the levels at or above it.
     """
     ms = space.mseq
-    placed: list[WormholeLevel] = list(anchors.values())
-    top = lo  # the top of the chain
+    anchored = {w.order for w in at_lo + at_hi}
+    placed: list[WormholeLevel] = []
+    top = lo  # the top of the chain, and the last level placed
     omega: Union[Fraction, Interval, None] = None
     for order in diffs:
-        if order in anchors:
+        if order in anchored:
             continue
         level = first_in_interval(ms, order, top, hi)
         if level is not None:
             top = level
+            placed.append(level)
         else:
             level = last_in_interval(ms, order, lo, top)
             if level is None:
                 raise InvariantViolation("minimal interval misses a required order")
-        placed.append(level)
-        count = len(placed) - len(anchors)
-        if diffs.is_finite or count < depth:
+            # every placed level has a lower order, and by the nesting property
+            # two of them enclose an order-k level: the last under the top lies
+            # above every level placed before the top, earlier stragglers too
+            placed.insert(len(placed) - 1, level)
+        if diffs.is_finite or len(placed) < depth:
             continue
         omega = _limit(ms, diffs, order, top, hi)
         if omega is not None:
             break
-        if count > depth + 512:
+        if len(placed) > depth + 512:
             raise InvariantViolation("sweep did not stabilise")  # unreachable
-    # every D_k divides the deepest one, so heights compare over that unit
-    deepest = max((w.denominator for w in placed), default=1)
-    placed.sort(key=lambda w: w.numerator * (deepest // w.denominator))
+    placed = at_lo + placed + at_hi
     if omega is None:
         return placed, None, []
     # materialized chain levels sit below an exact limit (reach -1), and at
@@ -371,8 +371,7 @@ def _assemble(start: Point, end: Point, moves: list) -> PathRep:
     else:
         return PathRep(start, end, tuple(moves))
     items = tuple(moves[:split])
-    h = (_heights(items) or [start.height])[-1]
-    tail = Tail(move, sum(isinstance(e, Jump) for e in items), _side(h, move))
+    tail = Tail(move, sum(isinstance(e, Jump) for e in items))
     return PathRep(start, end, items, tail, tuple(moves[split + 1:]))
 
 
@@ -396,13 +395,11 @@ def geodesic_path(space: Space, x: Point, y: Point, depth: int = 8) -> PathRep:
     interval = minimal_interval(space, x, y)
     low, high = (x, y) if x.height <= y.height else (y, x)
     diffs = difference_orders(low.address, high.address)
-    anchors: dict[int, WormholeLevel] = {}
-    for order, witness in interval.witnesses:
-        boundary_low = interval.a < low.height and _cmp(witness, interval.a) == 0
-        boundary_high = interval.b > high.height and _cmp(witness, interval.b) == 0
-        if boundary_low or boundary_high:
-            anchors[order] = witness
-    pre, omega, post = _sweep_levels(space, interval.a, interval.b, diffs, anchors, depth)
+    at_a = [w for _, w in interval.witnesses
+            if interval.a < low.height and _cmp(w, interval.a) == 0]
+    at_b = [w for _, w in interval.witnesses
+            if interval.b > high.height and _cmp(w, interval.b) == 0]
+    pre, omega, post = _sweep_levels(space, interval.a, interval.b, diffs, at_a, at_b, depth)
     moves = _route(low, high, low.address, high.address, pre, omega, post)
     if low is not x:
         moves = [_flip(move) for move in reversed(moves)]
@@ -532,14 +529,16 @@ def classify(path: PathRep) -> tuple[str, tuple[str, ...]]:
     """Overall monotonicity label plus the per-jump kinds.
 
     Each vertical move has a direction: a segment's, and for a tail both
-    the run into its limit and the run out of it.  A jump's kind compares
-    the nearest moves with a direction before and after it; one side
-    stands for both, and with neither it is upward.
+    the run into its limit and the run out of it, read off the heights on
+    either side.  A jump's kind compares the nearest moves with a direction
+    before and after it; one side stands for both, and with neither it is
+    upward.
     """
     steps = [m.direction if isinstance(m, Segment) else None for m in path.items]  # None: a jump
     if path.tail is not None:
-        next_h = (_heights(path.post) or [path.end.height])[0]
-        steps += (path.tail.side, -_side(next_h, path.tail.omega))
+        last_h = (_heights(path.items[-1:]) or [path.start.height])[-1]
+        next_h = (_heights(path.post[:1]) or [path.end.height])[0]
+        steps += (_side(last_h, path.tail.omega), -_side(next_h, path.tail.omega))
     steps += (m.direction if isinstance(m, Segment) else None for m in path.post)
     outs, out = [], 0  # the direction after each jump, found from the end
     for step in reversed(steps):

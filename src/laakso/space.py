@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import ParseError, ResourceLimit
 from .fractal import Address, format_address, parse_address
@@ -67,10 +67,8 @@ class Space:
 
     # -- points ---------------------------------------------------------
 
-    def point(self, address: Union[Address, str], height) -> Point:
+    def point(self, address: Address, height) -> Point:
         """The canonical point: digit k is 0 at a height identified at order k."""
-        if isinstance(address, str):
-            address = parse_address(address)
         height = Fraction(height)
         if not 0 <= height <= 1:  # not printed: it may be too long for str()
             raise ParseError("height outside [0, 1]")

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import islice, takewhile
 from math import lcm
@@ -46,6 +47,35 @@ class TestCanonicalForm:
         a = Address((), (1, 0))
         b = Address((1,), (0, 1))
         assert a == b
+        # long cycles: a rotation, a doubling and a copy in the prefix spell
+        # the same string, and its cycle is primitive and the least rotation
+        rng = random.Random(13)
+        for _ in range(200):
+            base = tuple(rng.randint(0, 1) for _ in range(rng.randint(13, 64)))
+            prefix = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 6)))
+            turn = rng.randrange(len(base))
+            a = Address(prefix, base)
+            for b in (Address(prefix + base[:turn], base[turn:] + base[:turn]),
+                      Address(prefix, base * 2), Address(prefix + base, base)):
+                assert b == a and (b.prefix, b.cycle) == (a.prefix, a.cycle)
+            m = len(a.cycle)
+            rotations = [a.cycle[t:] + a.cycle[:t] for t in range(m)]
+            assert a.cycle == min(rotations) and rotations.count(a.cycle) == 1
+            expansion = prefix + base * 3
+            assert all(a.digit(i) == expansion[i - 1] for i in range(1, len(expansion) + 1))
+
+    def test_an_8000_digit_cycle_parses_within_20_ms(self):
+        # the period is a byte-string search and the least phase a min over
+        # byte slices, both in C; a least rotation built from m tuples of m
+        # digits takes well over 20 ms at m = 8000
+        text = "(" + "0" * 7999 + "1)"
+        best = float("inf")
+        for _ in range(3):
+            began = time.perf_counter()
+            a = parse_address(text)
+            best = min(best, time.perf_counter() - began)
+        assert a.prefix == () and a.cycle == (0,) * 7999 + (1,)
+        assert best < 0.02
 
     def test_idempotent(self):
         rng = random.Random(1)

@@ -332,8 +332,17 @@ class TestGeodesic:
         # into a certified limit and then only jumps
         x, y = s72.parse_point("10(1)@1"), s72.parse_point("01(0)@1/4")
         path = geodesic_path(s72, x, y, depth=1)
-        assert not path.segments() and path.tail.side == -1
+        assert not path.segments()
         assert classify(path) == (MONOTONE_DOWN, ("downward",))
+
+    @pytest.mark.parametrize("strategy", ["nearest", "increasing"])
+    def test_the_run_into_the_tail_follows_the_jump_before_it(self, s3, strategy):
+        # up from 1/3 to the level 4/9, a jump, a hidden rise into the limit
+        # 11/24 and a descent back to 1/3: the jump continues the rise
+        x, y = s3.parse_point("0(1)@1/3"), s3.parse_point("0(01)@1/3")
+        path = connect(s3, x, y, strategy, depth=1)
+        assert path.tail.omega == Fraction(11, 24) and len(path.items) == 2
+        assert classify(path) == (OSCILLATING, ("upward",))
 
     def test_oscillating_kinds_on_worked_path(self, s3, worked_pair):
         label, kinds = classify(connect(s3, *worked_pair, strategy="nearest"))

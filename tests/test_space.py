@@ -6,7 +6,7 @@ import pytest
 from laakso import Interval, ParseError, ResourceLimit, Space, difference_orders, parse_address, value
 from conftest import omega_value, preimages, random_address
 
-ZERO = "(0)"
+ZERO = parse_address("(0)")
 
 
 class TestConfig:
@@ -23,10 +23,10 @@ class TestConfig:
 class TestCanonicalize:
     def test_examples(self, s3):
         p = s3.point(ZERO, Fraction(1, 3))
-        assert p == s3.point("1(0)", Fraction(1, 3))  # identified preimage
-        assert p.address == parse_address(ZERO)
+        assert p == s3.point(parse_address("1(0)"), Fraction(1, 3))  # identified preimage
+        assert p.address == ZERO
         q = s3.point(ZERO, Fraction(1, 5))
-        assert q.address == parse_address(ZERO) and q.height == Fraction(1, 5)
+        assert q.address == ZERO and q.height == Fraction(1, 5)
 
     def test_idempotent_and_class_constant(self, s3):
         rng = random.Random(31)
