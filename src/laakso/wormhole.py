@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterator, Optional
 
 from .errors import InfeasibleSequence
@@ -41,6 +41,14 @@ class MSequence:
     library bug.  A user supplied override prefix is validated entry by
     entry instead of chosen.  Extension must be serialized by the caller;
     materialized entries are safe to read concurrently.
+
+    With power = p/q, two integers are carried from entry to entry: top =
+    p**i and bottom = q**i * D_i**root, so (s**i/D_i)**root = top/bottom
+    and an entry costs a few multiplications by p, q and m**root.  The
+    bound is then two cross-multiplications by n**root and (n+1)**root.
+    The tie test compares top * 2**64 against bottom times the bracket
+    [lo, lo+1] of sqrt((n(n+1))**root) * 2**64, with lo from one isqrt;
+    only a ratio inside that 2**-64 band is squared exactly.
     """
 
     def __init__(self, scale: ScaleFactor, override=()):
@@ -49,6 +57,10 @@ class MSequence:
         self.override = tuple(int(v) for v in override)
         self._m: list[int] = []
         self._products: list[int] = [1]  # _products[i] = D_i
+        self._top = self._bottom = 1  # p**i and q**i * D_i**root for i = len(self._m)
+        self._powers = {m: m ** scale.root for m in (self.n, self.n + 1)}
+        self._tie = self._powers[self.n] * self._powers[self.n + 1]  # (n(n+1))**root
+        self._lo = isqrt(self._tie << 128)  # sqrt(tie) * 2**64 lies in [lo, lo+1)
         for _ in self.override:
             self._extend()
 
@@ -67,37 +79,36 @@ class MSequence:
             self._extend()
         return self._products[k]
 
-    def _feasible(self, i: int, product: int) -> bool:
-        n = self.n
-        low = Fraction(n, (n + 1) * product)
-        high = Fraction(n + 1, n * product)
-        return (
-            self.scale.compare_spower(i, low) >= 0
-            and self.scale.compare_spower(i, high) <= 0
-        )
-
-    def _prefers_n(self, i: int, previous: int) -> bool:
-        # log-distance tie test: n is at least as close iff s**(2i) <= D**2 n(n+1)
-        n = self.n
-        bound = Fraction(1, previous * previous * n * (n + 1))
-        return self.scale.compare_spower(2 * i, bound) >= 0
+    def _prefers_n(self, top: int, bottom: int) -> bool:
+        """Whether t**2 <= n(n+1), for t**root = top/bottom: n is as log-close to t as n+1."""
+        scaled, low = top << 64, self._lo * bottom
+        if scaled <= low:
+            return True
+        if scaled > low + bottom:
+            return False
+        return top * top <= self._tie * bottom * bottom
 
     def _extend(self):
         i = len(self._m) + 1
         n = self.n
-        previous = self._products[-1]
+        # (s**i / D_(i-1))**root = top / bottom
+        top = self._top * self.scale.power.numerator
+        bottom = self._bottom * self.scale.power.denominator
         if i <= len(self.override):
             choice = self.override[i - 1]
             if choice not in (n, n + 1):
                 raise InfeasibleSequence(i, f"override entry {choice} not in {{{n}, {n + 1}}}")
             problem = f"override entry {choice} violates the product bounds"
         else:
-            choice = n if self._prefers_n(i, previous) else n + 1
+            choice = n if self._prefers_n(top, bottom) else n + 1
             problem = f"greedy entry {choice} violates the product bounds (scale handling bug)"
-        if not self._feasible(i, previous * choice):
+        bottom *= self._powers[choice]
+        low, high = self._powers[n], self._powers[n + 1]
+        if top * high < bottom * low or top * low > bottom * high:
             raise InfeasibleSequence(i, problem)
         self._m.append(choice)
-        self._products.append(previous * choice)
+        self._products.append(self._products[-1] * choice)
+        self._top, self._bottom = top, bottom
 
 
 @dataclass(frozen=True)

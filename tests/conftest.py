@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from laakso import (Address, Interval, Jump, MSequence, Point, Segment, Space, WormholeLevel,
-                    classify_height)
+from laakso import (Address, InfeasibleSequence, Interval, Jump, MSequence, Point, ScaleFactor,
+                    Segment, Space, WormholeLevel, classify_height)
 from laakso.wormhole import level_from_numerator
 
 
@@ -53,6 +53,33 @@ def sandwich_holds(ms: MSequence, i: int) -> bool:
     low = Fraction(n, (n + 1) * product)
     high = Fraction(n + 1, n * product)
     return ms.scale.compare_spower(i, low) >= 0 and ms.scale.compare_spower(i, high) <= 0
+
+
+def reference_entries(scale: ScaleFactor, count: int, override=()) -> list[int]:
+    """The first count entries of the greedy rule, each decided by compare_spower.
+
+    An independent statement of the rule ``MSequence`` implements with
+    carried integers: n when s**(2i) <= D_(i-1)**2 n(n+1) (the log-distance
+    tie), else n+1, or the override entry; then the two-sided bound on
+    s**i/D_i.  Raises the ``InfeasibleSequence`` the rule fails with.
+    """
+    n, product, entries = scale.floor_s(), 1, []
+    for i in range(1, count + 1):
+        if i <= len(override):
+            choice = override[i - 1]
+            if choice not in (n, n + 1):
+                raise InfeasibleSequence(i, f"override entry {choice} not in {{{n}, {n + 1}}}")
+            problem = f"override entry {choice} violates the product bounds"
+        else:
+            tie = Fraction(1, product * product * n * (n + 1))
+            choice = n if scale.compare_spower(2 * i, tie) >= 0 else n + 1
+            problem = f"greedy entry {choice} violates the product bounds (scale handling bug)"
+        product *= choice
+        low, high = Fraction(n, (n + 1) * product), Fraction(n + 1, n * product)
+        if scale.compare_spower(i, low) < 0 or scale.compare_spower(i, high) > 0:
+            raise InfeasibleSequence(i, problem)
+        entries.append(choice)
+    return entries
 
 
 def random_address(rng: random.Random, max_prefix: int = 6, max_cycle: int = 3) -> Address:

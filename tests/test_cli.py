@@ -194,6 +194,17 @@ class TestWormholes:
         result = invoke(runner, "-s", "3", "wormholes", "--order", order, "--from", height, "--to", height)
         assert json.loads(result.output) == expected
 
+    def test_deep_narrow_range_exits_3_within_1_s(self, runner):
+        # D_9100 = 3**9100 has more digits than can print; building the
+        # sequence to order 9100 must not take the time
+        best = float("inf")
+        for _ in range(3):
+            began = time.process_time()
+            result = invoke(runner, "-s", "3", "wormholes", "--order", "9100", "--to", "1e-4340")
+            best = min(best, time.process_time() - began)
+            assert result.exit_code == 3
+        assert best < 1
+
     def test_narrow_high_order_range_lists(self, runner):
         result = invoke(runner, "-s", "3", "wormholes", "--order", "20", "--to", "1e-8")
         expected = [Fraction(numerator, 3 ** 20) for numerator in range(1, 35) if numerator % 3]

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from itertools import islice
 
@@ -11,6 +12,7 @@ from laakso import (
     Address,
     Interval,
     Segment,
+    Space,
     WormholeLevel,
     classify,
     classify_height,
@@ -119,6 +121,18 @@ class TestDistance:
         assert reads == 0 and not diffs.is_finite
         assert distance(s3, x, y) > 0
         assert reads <= 2 * 2001
+
+    def test_long_cycles_on_a_fresh_space_within_15_ms(self):
+        # the distance extends a fresh sequence to order 2001; building each
+        # entry from fresh powers of s and D takes about 70 ms
+        texts = "(" + "0" * 1999 + "1)@1/3", "(" + "0" * 2000 + "1)@1/3"
+        best = float("inf")
+        for _ in range(3):
+            began = time.process_time()
+            space = Space.from_ratio(3)
+            assert distance(space, *map(space.parse_point, texts)) > 0
+            best = min(best, time.process_time() - began)
+        assert best < 0.015
 
     def test_height_lower_bound_and_monotone_characterisation(self, s3):
         rng = random.Random(44)

@@ -2,8 +2,9 @@ import bisect
 import functools
 import itertools
 import random
+import time
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import mpmath
 import pytest
@@ -20,7 +21,7 @@ from laakso import (
     nearest,
     snap,
 )
-from conftest import level_digits, omega_value, sandwich_holds
+from conftest import level_digits, omega_value, reference_entries, sandwich_holds
 
 # the order-2 and order-3 tables for the middle-thirds construction
 ORDER2 = {
@@ -119,6 +120,66 @@ class TestMSequence:
         with pytest.raises(InfeasibleSequence) as info:
             MSequence(ScaleFactor.from_ratio(3), override=(5,))
         assert info.value.index == 1
+
+    @pytest.mark.parametrize("scale", [
+        *(ScaleFactor.from_ratio(Fraction(rng.randint(2 * d + 1, 40 * d), d))
+          for rng in [random.Random(15)] for d in (rng.randint(1, 60) for _ in range(8))),
+        # roots 1, 2, 2 and 3: s = 4, 2**(3/2), 2**(5/2) and 2**(10/3)
+        *(ScaleFactor.from_dimension(Fraction(q)) for q in ("3/2", "5/3", "7/5", "13/10")),
+    ], ids=str)
+    def test_entries_match_the_reference_rule(self, scale):
+        assert [MSequence(scale).entry(i) for i in range(1, 301)] == reference_entries(scale, 300)
+
+    def test_overrides_match_the_reference_rule(self):
+        rng = random.Random(1515)
+        outcomes = set()
+        for scale in (ScaleFactor.from_ratio(3), ScaleFactor.from_ratio(Fraction(7, 2)),
+                      ScaleFactor.from_ratio(Fraction(31, 7)),
+                      ScaleFactor.from_dimension(Fraction(5, 3)),
+                      ScaleFactor.from_dimension(Fraction(13, 10))):
+            n = scale.floor_s()
+            for _ in range(12):
+                override = tuple(rng.choice((n, n, n + 1, n + 1, n + 2)) for _ in range(rng.randint(1, 8)))
+                try:
+                    want = reference_entries(scale, 300, override)
+                except InfeasibleSequence as error:
+                    with pytest.raises(InfeasibleSequence) as info:
+                        MSequence(scale, override).D(300)
+                    assert (info.value.index, str(info.value)) == (error.index, str(error))
+                    outcomes.add("not in" if "not in" in str(error) else "bounds")
+                else:
+                    ms = MSequence(scale, override)
+                    assert [ms.entry(i) for i in range(1, 301)] == want
+                    outcomes.add("valid")
+        assert outcomes == {"valid", "not in", "bounds"}
+
+    @pytest.mark.parametrize("scale", [ScaleFactor.from_ratio(3), ScaleFactor.from_ratio(Fraction(7, 2)),
+                                       ScaleFactor.from_dimension(Fraction(13, 10))], ids=str)
+    def test_tie_test_is_exact_inside_its_bracket(self, scale):
+        # t**root = top/bottom within 2**-64 of sqrt((n(n+1))**root) on either
+        # side: the bracket cannot decide, and the exact squaring must
+        ms = MSequence(scale)
+        n, root = ms.n, scale.root
+        tie = (n * (n + 1)) ** root
+        lo = isqrt(tie << 128)
+        bottom = 1 << 256
+        below = isqrt(tie * bottom * bottom)  # below**2 <= tie * bottom**2 < (below+1)**2
+        for top, prefers_n in ((below, True), (below + 1, False)):
+            assert lo * bottom < top << 64 <= (lo + 1) * bottom
+            assert ms._prefers_n(top, bottom) is prefers_n
+
+    @pytest.mark.parametrize("scale, limit", [(ScaleFactor.from_ratio(Fraction(7, 2)), 0.2),
+                                              (ScaleFactor.from_dimension(Fraction(13, 10)), 1.0)],
+                             ids=str)
+    def test_order_4000_extends_within_its_time(self, scale, limit):
+        # a fresh sequence each time; rebuilding s**i and D_i**root at every
+        # entry takes about twice the limit
+        best = float("inf")
+        for _ in range(3):
+            began = time.process_time()
+            MSequence(scale).D(4000)
+            best = min(best, time.process_time() - began)
+        assert best < limit
 
 
 class TestOmegaValues:
