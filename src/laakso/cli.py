@@ -3,9 +3,9 @@
 Every fraction is emitted as an exact "p/q" string, never a float.  Exit
 codes: 0 on success, 1 when ``oracle-check`` finds a discrepancy, 2 on any
 parse/usage error or an SVG file that cannot be written, 3 on an
-infeasible branching override, a scale, a level listing or an oracle graph
-over its budget, a number too long to print, or a broken internal
-invariant.
+infeasible branching override, a scale, a level listing, a tail limit or an
+oracle graph over its budget, a number too long to print, or a broken
+internal invariant.
 """
 
 from __future__ import annotations

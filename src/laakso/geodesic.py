@@ -30,7 +30,7 @@ from math import lcm
 from operator import sub
 from typing import Optional, Union
 
-from .errors import InvariantViolation
+from .errors import InvariantViolation, ResourceLimit
 from .fractal import Address, DifferenceOrders, difference_orders
 from .numeric import Interval
 from .space import Point, Space
@@ -47,6 +47,7 @@ UPWARD, DOWNWARD, INVERSION = "upward", "downward", "inversion"
 MONOTONE_UP, MONOTONE_DOWN, OSCILLATING = "monotone-up", "monotone-down", "oscillating"
 
 NEAREST, INCREASING = "nearest", "increasing"
+MAX_TAIL_BITS = 1 << 16  # bits of n**period, a tail limit's growth over one period of orders
 
 
 def _cmp(a, b) -> int:
@@ -209,12 +210,13 @@ def _limit(ms: MSequence, diffs: DifferenceOrders, order: int, h,
            bound) -> Union[Fraction, Interval, None]:
     """Where the jumps through the difference orders past order accumulate.
 
-    The run starts at h and heads towards bound.  When the branching
-    sequence is eventually the constant n (an integer scale past any
-    override), each periodic block of orders contributes a geometric
-    series and the limit is h plus or minus the exact sum of 1/D_k over the
-    orders k > order; None when that overshoots bound.  Otherwise it is
-    certified to lie within one order-`order` step of h, clipped at bound.
+    The run starts at h and heads towards bound.  At an integer scale the
+    limit is h plus or minus the exact sum of 1/D_k over the orders k >
+    order; None when that overshoots bound.  Past floor every entry is n
+    and the orders repeat with the period P, so there the sum is window /
+    (D_floor (n**P - 1)), window being one period of orders read as base-n
+    digits.  At any other scale the limit is certified to lie within one
+    order-`order` step of h, clipped at bound.
     """
     side = _cmp(bound, h)
     if side == 0:
@@ -226,22 +228,19 @@ def _limit(ms: MSequence, diffs: DifferenceOrders, order: int, h,
         here, edge = Fraction(num, unit), Fraction(bound)
         far = Fraction(num * den + side * unit, unit * den)
         return Interval(here, min(edge, far)) if side > 0 else Interval(max(edge, far), here)
-    # past floor the orders repeat with the period and each D_k gains
-    # n**period = growth, so one period window times growth / (growth - 1)
-    # covers them; both sums count units of 1/D_top
+    n, period = ms.n, diffs.period
+    if period * (n.bit_length() - 1) > MAX_TAIL_BITS:  # before any power of n is formed
+        raise ResourceLimit(f"a tail of period {period} is over the budget of {MAX_TAIL_BITS} bits")
     floor = max(order, len(ms.override), diffs.start - 1)
-    top = floor + diffs.period
-    growth = ms.n ** diffs.period
-    big = ms.D(top)
-    near = repeating = 0
-    for k in diffs.between(order, top):
-        if k > floor:
-            repeating += big // ms.D(k)
-        else:
-            near += big // ms.D(k)
-    den = unit * big * (growth - 1)
-    rest = unit * (near * (growth - 1) + repeating * growth)
-    omega = num * big * (growth - 1) + side * rest
+    base = ms.D(floor)
+    near = sum(base // ms.D(k) for k in diffs.between(order, floor))
+    window, last = 0, floor  # Horner's rule: one base-n digit per order of the window
+    for k in diffs.between(floor, floor + period):
+        window, last = window * n ** (k - last) + 1, k
+    window *= n ** (floor + period - last)
+    growth = n ** period - 1
+    den = unit * base * growth
+    omega = num * base * growth + side * unit * (near * growth + window)
     if side * (omega * bound.denominator - bound.numerator * den) > 0:  # past bound
         return None
     return Fraction(omega, den)

@@ -119,8 +119,8 @@ class WormholeLevel:
     only them.  The numerator is never a multiple of m_order, which keeps
     level sets of different orders disjoint.  Like a ``Fraction`` or an
     ``int``, a level is a height read through ``numerator`` and
-    ``denominator`` (not reduced); its ``Fraction`` value is built on first
-    request and kept.
+    ``denominator`` (not reduced); its ``Fraction`` value is built on
+    each request.
     """
 
     order: int
@@ -129,11 +129,7 @@ class WormholeLevel:
 
     @property
     def value(self) -> Fraction:
-        cache = self.__dict__
-        value = cache.get("_value")
-        if value is None:
-            value = cache["_value"] = Fraction(self.numerator, self.denominator)
-        return value
+        return Fraction(self.numerator, self.denominator)
 
     def __str__(self):
         return f"{self.value} (order {self.order})"

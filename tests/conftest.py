@@ -82,6 +82,30 @@ def reference_entries(scale: ScaleFactor, count: int, override=()) -> list[int]:
     return entries
 
 
+def reference_limit(ms: MSequence, diffs, order: int, h, bound):
+    """The exact tail limit at an integer scale, summed over 1/D_top; None past bound.
+
+    An independent statement of the sum ``geodesic._limit`` takes from one
+    base-n window: with floor = max(order, override length, start - 1) and
+    top = floor + period, every order k in (order, top] counts D_top // D_k
+    units of 1/D_top, and the orders past floor, repeating with the period
+    while each D_k gains growth = n**period, count growth / (growth - 1)
+    times over.  The sequence is extended to top.
+    """
+    h, bound = Fraction(h.numerator, h.denominator), Fraction(bound)
+    side = (bound > h) - (bound < h)
+    if side == 0:
+        return Fraction(bound)
+    floor = max(order, len(ms.override), diffs.start - 1)
+    top = floor + diffs.period
+    growth = ms.n ** diffs.period
+    big = ms.D(top)
+    near = sum(big // ms.D(k) for k in diffs.between(order, floor))
+    repeating = sum(big // ms.D(k) for k in diffs.between(floor, top))
+    omega = h + side * Fraction(near * (growth - 1) + repeating * growth, big * (growth - 1))
+    return None if side * (omega - bound) > 0 else omega
+
+
 def random_address(rng: random.Random, max_prefix: int = 6, max_cycle: int = 3) -> Address:
     prefix = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, max_prefix)))
     cycle = tuple(rng.randint(0, 1) for _ in range(rng.randint(1, max_cycle)))

@@ -1,4 +1,7 @@
 import json
+import os
+import resource
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -18,6 +21,21 @@ def runner():
 
 def invoke(runner, *args):
     return runner.invoke(main, args, catch_exceptions=False)
+
+
+def run_child(*args):
+    """Run the command line in a child capped at 2 GB; its exit code, stderr and CPU seconds."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    result = subprocess.run([sys.executable, "-m", "laakso.cli", *args], capture_output=True,
+                            text=True, env=env, preexec_fn=cap, timeout=120)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    seconds = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+    return result.returncode, result.stderr, seconds
 
 
 class TestGlobalOptions:
@@ -274,6 +292,24 @@ class TestGeodesicAndPath:
         path = json.loads(invoke(runner, *args).output)["path"]
         assert path["class"] == label
         assert [j["kind"] for j in path["jumps"]] == kinds
+
+    @pytest.mark.parametrize("command, zeros, message", [
+        ("geodesic", 199, "over the int-to-str limit"),
+        ("geodesic", 1999, "over the budget of"),
+        ("path", 1999, "over the budget of"),
+    ], ids=["geodesic-200-201", "geodesic-2000-2001", "path-2000-2001"])
+    def test_long_cycle_tail_exits_3_within_1_s(self, command, zeros, message):
+        # the tail repeats with the lcm of the cycle lengths, 40 200 or
+        # 4 002 000 orders: its limit has too many digits to print, or its
+        # n**period passes MAX_TAIL_BITS; neither may extend the branching
+        # sequence over a period first
+        x, y = f"({'0' * zeros}1)@1/3", f"({'0' * (zeros + 1)}1)@1/2"
+        best = float("inf")
+        for _ in range(3):
+            code, stderr, seconds = run_child("-s", "3", command, x, y, "--depth", "2")
+            assert code == 3 and message in stderr, stderr
+            best = min(best, seconds)
+        assert best < 1
 
     def test_path_strategies_differ_on_worked_pair(self, runner):
         nearest = json.loads(

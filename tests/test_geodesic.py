@@ -24,8 +24,9 @@ from laakso import (
     minimal_interval,
     path_length,
 )
-from laakso.geodesic import INVERSION, MONOTONE_DOWN, MONOTONE_UP, OSCILLATING, validate
-from conftest import random_point, stepwise_length
+from laakso.geodesic import INVERSION, MONOTONE_DOWN, MONOTONE_UP, OSCILLATING, _limit, validate
+from laakso.wormhole import snap
+from conftest import random_address, random_point, reference_limit, stepwise_length
 
 
 @pytest.fixture(scope="module")
@@ -257,6 +258,31 @@ class TestWork:
             assert connect(s3, x, y, strategy, 8).tail is not None
             # one pass over the orders' window, two endpoint decodings, the limit
             assert reads <= 2 * (diffs.start + diffs.period) + 4 + 4 * diffs.period
+
+
+class TestLimit:
+    @pytest.mark.parametrize("scale, override", [(3, ()), (4, ()), (3, (4, 3, 3)), (5, (6, 5))],
+                             ids=["3", "4", "3-override-4,3,3", "5-override-6,5"])
+    def test_limit_matches_the_sum_over_d_top(self, scale, override):
+        # seeded pairs differing at infinitely many orders; the run starts at
+        # an order's level or at a free height and heads for 0, 1 or a free
+        # height, as the sweep and connect call it
+        ms = Space.from_ratio(scale, override).mseq
+        rng = random.Random(59)
+        pairs = overshoots = 0
+        while pairs < 100:
+            diffs = difference_orders(random_address(rng, 5, 4), random_address(rng, 5, 4))
+            if diffs.is_finite:
+                continue
+            pairs += 1
+            for order in islice(diffs, 4):
+                free = Fraction(rng.randint(0, 97), 97)
+                for h in filter(None, (free, snap(ms, order, free, up=rng.random() < 0.5))):
+                    for bound in (0, 1, Fraction(rng.randint(0, 97), 97)):
+                        expected = reference_limit(ms, diffs, order, h, bound)
+                        assert _limit(ms, diffs, order, h, bound) == expected
+                        overshoots += expected is None
+        assert overshoots  # some limits lie past their bound
 
 
 class TestSegment:
