@@ -8,7 +8,10 @@ graph give an independent check of the closed-form distance.
 
 Every grid and extra height is a multiple of 1/L, where L is the least
 common multiple of the height denominators, so Dijkstra runs on exact
-integers in units of 1/L; distances become Fractions only when read.
+integers in units of 1/L; distances become Fractions only when read.  The
+search settles sets of columns at one row at a time: the columns of a row
+are the bits of one integer, and a zero-weight flip maps that set to itself
+shifted, so one heap entry stands for every column reached at one distance.
 """
 
 from __future__ import annotations
@@ -36,7 +39,9 @@ class ApproxGraph:
     are implicit: vertical neighbours plus, at a height identified at order
     k <= K, the column with digit k flipped at weight zero.  Built once with
     the graph: ``scale`` = L, ``units[i]`` = heights[i] * L as an integer,
-    and ``flips[i]``, the column bit flipped at row i (0 for none).
+    ``flips[i]``, the column bit flipped at row i (0 for none), and
+    ``unflipped[i]``, the set of columns (bit c for column c) whose bit
+    ``flips[i]`` is clear.
     """
 
     space: Space
@@ -47,14 +52,19 @@ class ApproxGraph:
     scale: int = field(init=False, compare=False, repr=False)
     units: tuple[int, ...] = field(init=False, compare=False, repr=False)
     flips: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    unflipped: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         scale = lcm(*(h.denominator for h in self.heights))
+        # columns with bit k-1 clear: runs of 2**(k-1) ones, then as many zeros
+        every = (1 << (1 << self.depth)) - 1
+        clear = [every // ((1 << (2 << j)) - 1) * ((1 << (1 << j)) - 1) for j in range(self.depth)]
         fields = {
             "height_index": {h: i for i, h in enumerate(self.heights)},
             "scale": scale,
             "units": tuple(h.numerator * (scale // h.denominator) for h in self.heights),
             "flips": tuple(0 if k is None else 1 << (k - 1) for k in self.orders),
+            "unflipped": tuple(0 if k is None else clear[k - 1] for k in self.orders),
         }
         for name, value in fields.items():
             object.__setattr__(self, name, value)
@@ -123,78 +133,90 @@ def graph_distance(graph: ApproxGraph, x: Point, y: Point) -> Fraction:
 class Distances(Mapping):
     """Exact distances from one source, keyed by (column, height index).
 
-    Holds the settled vertices only, each at its shortest distance.  Values
-    are stored as integers in units of 1/L and become Fractions on lookup;
-    a vertex not settled raises KeyError.
+    Holds the settled vertices only, each at its shortest distance.  Row i
+    keeps the groups ``(units, columns)`` its settling pops made: ``columns``
+    is a set of columns (bit c for column c), all at distance ``units / L``.
+    A lookup scans its row's groups and builds the Fraction; a vertex not
+    settled raises KeyError.  Iteration is column-major.
     """
 
-    __slots__ = ("_rows", "_scale", "_dist", "_done")
+    __slots__ = ("_width", "_scale", "_groups", "_settled")
 
-    def __init__(self, rows: int, scale: int, dist: list[int], done: bytearray):
-        self._rows, self._scale, self._dist, self._done = rows, scale, dist, done
-
-    def _flat(self, vertex) -> int:
-        column, hidx = vertex
-        v = column * self._rows + hidx
-        if not (0 <= hidx < self._rows and 0 <= v < len(self._done) and self._done[v]):
-            raise KeyError(vertex)
-        return v
+    def __init__(self, width: int, scale: int, groups: list[list[tuple[int, int]]],
+                 settled: list[int]):
+        self._width, self._scale, self._groups, self._settled = width, scale, groups, settled
 
     def __getitem__(self, vertex) -> Fraction:
-        return Fraction(self._dist[self._flat(vertex)], self._scale)
+        column, hidx = vertex
+        if 0 <= column < self._width and 0 <= hidx < len(self._groups):
+            for units, columns in self._groups[hidx]:
+                if columns >> column & 1:
+                    return Fraction(units, self._scale)
+        raise KeyError(vertex)
 
     def __len__(self) -> int:
-        return len(self._done) - self._done.count(0)
+        return sum(columns.bit_count() for columns in self._settled)
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        for v, settled in enumerate(self._done):
-            if settled:
-                yield divmod(v, self._rows)
+        settled = self._settled
+        for column in range(self._width):
+            for hidx, columns in enumerate(settled):
+                if columns >> column & 1:
+                    yield column, hidx
+
+
+def _check_vertex(graph: ApproxGraph, vertex: tuple[int, int], role: str) -> None:
+    column, hidx = vertex
+    if not (0 <= column < 1 << graph.depth and 0 <= hidx < len(graph.heights)):
+        raise ValueError(f"{role} {vertex} outside the {1 << graph.depth} x {len(graph.heights)} graph")
 
 
 def shortest_paths(graph: ApproxGraph, source: tuple[int, int],
                    target: Optional[tuple[int, int]] = None) -> Distances:
     """Dijkstra on integer weights in units of 1/L (weights are nonnegative).
 
-    Vertex (column, hidx) is the flat index column * rows + hidx.  With a
-    target the search stops once the target is settled.
+    A heap entry ``(units, row, columns)`` holds every column of a row
+    reached at one distance, as the bits of ``columns``.  A pop drops the
+    columns already settled at that row, closes the rest under the row's
+    zero-weight flip (two shifts), settles them all and pushes the part of
+    each vertical neighbour row still unsettled.  Keys never decrease, so
+    each vertex is settled at the first pop that holds it.  With a target
+    the search stops once the target is settled.  A source or target
+    outside the graph raises ValueError.
     """
+    _check_vertex(graph, source, "source")
+    if target is not None:
+        _check_vertex(graph, target, "target")
     rows = len(graph.heights)
-    units, flips = graph.units, graph.flips
-    size = rows << graph.depth
-    unreached = (graph.scale << graph.depth) + 1  # longer than all edges together
-    dist = [unreached] * size
-    done = bytearray(size)
-    start = source[0] * rows + source[1]
-    stop = -1 if target is None else target[0] * rows + target[1]
-    dist[start] = 0
-    heap = [(0, start)]
+    units, flips, unflipped = graph.units, graph.flips, graph.unflipped
+    groups = [[] for _ in range(rows)]
+    settled = [0] * rows
+    stop_row, stop_bit = (-1, 0) if target is None else (target[1], 1 << target[0])
+    heap = [(0, source[1], 1 << source[0])]
     pop, push = heapq.heappop, heapq.heappush
     while heap:
-        d, v = pop(heap)
-        if done[v]:
+        d, row, columns = pop(heap)
+        done = settled[row]
+        columns &= ~done
+        if not columns:
             continue
-        done[v] = 1
-        if v == stop:
+        bit = flips[row]
+        if bit:  # add the flip partners, none settled: settled sets are closed too
+            low = unflipped[row]
+            columns |= (columns & low) << bit | (columns >> bit) & low
+        settled[row] = done | columns
+        groups[row].append((d, columns))
+        if row == stop_row and columns & stop_bit:
             break
-        column, hidx = divmod(v, rows)
-        if hidx > 0:
-            u, nd = v - 1, d + units[hidx] - units[hidx - 1]
-            if nd < dist[u]:
-                dist[u] = nd
-                push(heap, (nd, u))
-        if hidx + 1 < rows:
-            u, nd = v + 1, d + units[hidx + 1] - units[hidx]
-            if nd < dist[u]:
-                dist[u] = nd
-                push(heap, (nd, u))
-        bit = flips[hidx]
-        if bit:
-            u = v - bit * rows if column & bit else v + bit * rows
-            if d < dist[u]:
-                dist[u] = d
-                push(heap, (d, u))
-    return Distances(rows, graph.scale, dist, done)
+        if row > 0:
+            fresh = columns & ~settled[row - 1]
+            if fresh:
+                push(heap, (d + units[row] - units[row - 1], row - 1, fresh))
+        if row + 1 < rows:
+            fresh = columns & ~settled[row + 1]
+            if fresh:
+                push(heap, (d + units[row + 1] - units[row], row + 1, fresh))
+    return Distances(1 << graph.depth, graph.scale, groups, settled)
 
 
 def vertex_label(graph: ApproxGraph, column: int, hidx: int) -> str:

@@ -67,6 +67,12 @@ class TestBuild:
         assert [Fraction(u, graph.scale) for u in graph.units] == list(graph.heights)
         assert graph.flips == tuple(0 if k is None else 1 << (k - 1) for k in graph.orders)
 
+    def test_unflipped_columns(self, s3):
+        graph = build(s3, 3, extra_heights=[Fraction(1, 5)])
+        for bit, columns in zip(graph.flips, graph.unflipped):
+            expected = sum(1 << c for c in range(8) if not c & bit) if bit else 0
+            assert columns == expected
+
     def test_height_index_built_once(self, s3):
         graph = build(s3, 2, extra_heights=[Fraction(1, 5)])
         assert graph.height_index is graph.height_index
@@ -286,3 +292,68 @@ class TestWiderAgreement:
         assert build(space, depth).vertex_count == vertices
         checked, worst = agreement_check(space, depth, 100, distance, seed=29)
         assert checked == 100 and worst == 0
+
+
+#: (space fixture, depth, extra heights) of the column-set search tests.
+SEARCH_SPACES = [
+    ("s3", 3, [Fraction(1, 5), Fraction(1, 10)]),
+    ("s72", 3, [Fraction(3, 7)]),
+    ("q13", 2, [Fraction(1, 3), Fraction(2, 7)]),
+    ("s3_433", 3, [Fraction(1, 5)]),
+]
+
+
+class TestColumnSets:
+    @pytest.mark.parametrize("name,depth,extras", SEARCH_SPACES)
+    def test_every_vertex_matches_the_reference(self, request, name, depth, extras):
+        graph = build(request.getfixturevalue(name), depth, extra_heights=extras)
+        columns, rows = 1 << depth, len(graph.heights)
+        every = [(c, r) for c in range(columns) for r in range(rows)]  # column-major
+        rng = random.Random(f"{name}/reference")
+        for _ in range(4):
+            source = (rng.randrange(columns), rng.randrange(rows))
+            dist = shortest_paths(graph, source)
+            assert len(dist) == graph.vertex_count and list(dist) == every
+            assert all(type(d) is Fraction for d in dist.values())
+            expected = _reference_distances(graph, source)
+            assert {vertex_label(graph, *v): d for v, d in dist.items()} == expected
+            for outside in [(columns, 0), (0, rows), (-1, 0), (0, -1)]:
+                with pytest.raises(KeyError):
+                    dist[outside]
+            for _ in range(4):
+                target = (rng.randrange(columns), rng.randrange(rows))
+                early = shortest_paths(graph, source, target)
+                settled = list(early)
+                assert settled == sorted(settled) and len(early) == len(settled)
+                assert early[target] == dist[target]
+                assert all(early[v] == dist[v] for v in settled)
+                assert sum(v in early for v in every) == len(settled)
+
+    @pytest.mark.parametrize("name,depth,extras", SEARCH_SPACES)
+    def test_a_common_flip_is_an_isometry(self, request, name, depth, extras):
+        # flips[i] does not depend on the column, so xor-ing every column with
+        # c maps the graph onto itself
+        graph = build(request.getfixturevalue(name), depth, extra_heights=extras)
+        columns, rows = 1 << depth, len(graph.heights)
+        rng = random.Random(f"{name}/isometry")
+        for _ in range(5):
+            c, r = rng.randrange(columns), rng.randrange(rows)
+            moved = shortest_paths(graph, (c, r))
+            home = shortest_paths(graph, (0, r))
+            for c2 in range(columns):
+                for r2 in range(rows):
+                    assert moved[(c2, r2)] == home[(c ^ c2, r2)]
+
+    def test_vertices_outside_the_graph_are_refused(self):
+        graph = build(Space.from_ratio(3), 2)
+        rows = len(graph.heights)
+        # (0, rows) is the flat index of (1, 0) in a column-major numbering
+        with pytest.raises(ValueError, match="source"):
+            shortest_paths(graph, (0, rows))
+        with pytest.raises(ValueError, match="target"):
+            shortest_paths(graph, (0, 0), (0, rows))
+        for outside in [(4, 0), (-1, 0), (0, -1)]:
+            with pytest.raises(ValueError, match="source"):
+                shortest_paths(graph, outside)
+            with pytest.raises(ValueError, match="target"):
+                shortest_paths(graph, (0, 0), outside)
