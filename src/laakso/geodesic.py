@@ -7,25 +7,26 @@ representation then truncates after a configurable number of jumps and a
 tail record carries the exact (or certified-interval) limit height, with
 the finitely many moves beyond the accumulation kept in a post list.
 
-Every height on a path is an exact rational read through ``numerator``
-and ``denominator``: an endpoint's ``Fraction``, a level or an exact
-limit.  Segments hold the heights they join and builders compare heights
-by cross-multiplication; a ``Fraction`` is built only on output
-(``Segment.h_start``, a level's value, a path's length, an exact limit).
+Every height is an exact rational read through ``numerator`` and
+``denominator``: an endpoint's ``Fraction``, a level or an exact limit.
+Segments hold the heights they join, builders compare heights by
+cross-multiplication, and the closed form below takes the heights and its
+levels over one common unit, so a ``Fraction`` is built only on output
+(``Segment.h_start``, a level's value, an interval's ends, a distance, a
+path's length, an exact limit).
 
 The distance between two points is 2(b-a) - |h(y)-h(x)| for the minimal
 height interval [a, b]: the shortest interval containing both endpoint
 heights and at least one level of every order at which the addresses
-differ.  Orders beyond the first two witnessed ones never enlarge the
-interval, because between two distinct levels there is a level of every
-higher order.
+differ.  Orders beyond the first two never enlarge the interval, because
+between two distinct levels there is a level of every higher order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from math import lcm
 from operator import sub
 from typing import Optional, Union
@@ -40,6 +41,7 @@ from .wormhole import (
     classify_height,
     first_in_interval,
     last_in_interval,
+    nearest,
     snap,
 )
 
@@ -140,26 +142,31 @@ class PathRep:
 
 @dataclass(frozen=True)
 class MinimalInterval:
-    """[a, b] with one witnessing level per processed required order."""
+    """[a, b] = [low, high] / unit, with one witnessing level per processed required order."""
 
-    a: Fraction
-    b: Fraction
+    low: int
+    high: int
+    unit: int
     witnesses: tuple[tuple[int, WormholeLevel], ...]
 
-    @property
-    def width(self) -> Fraction:
-        return self.b - self.a
+    a = property(lambda self: Fraction(self.low, self.unit))
+    b = property(lambda self: Fraction(self.high, self.unit))
 
     def length_between(self, x: Point, y: Point) -> Fraction:
-        """2(b-a) - |h(y)-h(x)|: the length of a shortest path from x to y over [a, b]."""
-        return 2 * self.width - abs(y.height - x.height)
+        """2(b-a) - |h(y)-h(x)|: a shortest path's length between the interval's endpoints x, y."""
+        unit, hx, hy = self.unit, x.height, y.height  # a multiple of both height denominators
+        rise = hy.numerator * (unit // hy.denominator) - hx.numerator * (unit // hx.denominator)
+        return Fraction(2 * (self.high - self.low) - abs(rise), unit)
+
+    def __repr__(self):
+        return f"MinimalInterval(a={self.a!r}, b={self.b!r}, witnesses={self.witnesses!r})"
 
 
 # ---------------------------------------------------------------------------
 # minimal interval and distance
 
 
-def minimal_interval(space: Space, x: Point, y: Point) -> MinimalInterval:
+def minimal_interval(space: Space, x: Point, y: Point, orders=None) -> MinimalInterval:
     """The shortest height interval supporting a path between x and y.
 
     Scans the required orders ascending.  An order already witnessed inside
@@ -168,38 +175,44 @@ def minimal_interval(space: Space, x: Point, y: Point) -> MinimalInterval:
     are kept as branches.  After two orders every branch holds witnesses of
     two distinct orders, and the nesting property supplies every higher
     required order in between, so at most the first two orders matter.
-    The best branch wins: minimal width, then smaller b.
+    The best branch wins: minimal width, then smaller b.  The unit is the
+    lcm of the height denominators and D_k2.  ``orders``, if given, is an
+    iterator over the difference orders, and is left at the third.
     """
     if x == y:
         raise ValueError("minimal interval undefined for equal points")
     ms = space.mseq
-    lo0, hi0 = sorted((x.height, y.height))
-    candidates: list[tuple[Fraction, Fraction, dict]] = [(lo0, hi0, {})]
-    for order in islice(difference_orders(x.address, y.address), 2):
-        grown: list[tuple[Fraction, Fraction, dict]] = []
-        for a, b, witnesses in candidates:
-            inside = first_in_interval(ms, order, a, b)
-            if inside is not None:
-                grown.append((a, b, {**witnesses, order: inside}))
+    required = list(islice(orders or iter(difference_orders(x.address, y.address)), 2))
+    hx, hy = x.height, y.height
+    unit = lcm(hx.denominator, hy.denominator, ms.D(max(required, default=0)))
+    ends = hx.numerator * (unit // hx.denominator), hy.numerator * (unit // hy.denominator)
+    candidates: list[tuple[int, int, tuple]] = [(min(ends), max(ends), ())]
+    for order in required:
+        den, m_k = ms.D(order), ms.entry(order)
+        step = unit // den  # an order-k level is j * step, j no multiple of m_k
+        grown: list[tuple[int, int, tuple]] = []
+        for a, b, found in candidates:
+            up = max(1, -(-a // step))  # the least order-k level at or above a
+            up += up % m_k == 0  # past a multiple of m_k
+            if up < den and up * step <= b:
+                grown.append((a, b, found + ((order, up),)))
                 continue
-            below = snap(ms, order, a, up=False)
-            if below is not None:
-                grown.append((below.value, b, {**witnesses, order: below}))
-            above = snap(ms, order, b, up=True)
-            if above is not None:
-                grown.append((a, above.value, {**witnesses, order: above}))
+            down = min(den - 1, a // step)  # the greatest at or below a
+            down -= down % m_k == 0  # below a multiple of m_k
+            if down > 0:
+                grown.append((down * step, b, found + ((order, down),)))
+            if up < den:  # none inside [a, b], so the least above a lies above b
+                grown.append((a, up * step, found + ((order, up),)))
         candidates = grown
     if not candidates:
         raise InvariantViolation("a required order had no level on either side")
-    a, b, witnesses = min(candidates, key=lambda t: (t[1] - t[0], t[1]))
-    return MinimalInterval(a, b, tuple(sorted(witnesses.items())))
+    a, b, found = min(candidates, key=lambda t: (t[1] - t[0], t[1]))
+    return MinimalInterval(a, b, unit, tuple((k, WormholeLevel(k, j, ms.D(k))) for k, j in found))
 
 
 def distance(space: Space, x: Point, y: Point) -> Fraction:
     """Exact geodesic distance: 2(b-a) - |h(y)-h(x)| over the minimal interval."""
-    if x == y:
-        return Fraction(0)
-    return minimal_interval(space, x, y).length_between(x, y)
+    return minimal_interval(space, x, y).length_between(x, y) if x != y else Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -246,22 +259,23 @@ def _limit(ms: MSequence, diffs: DifferenceOrders, order: int, h,
     return Fraction(omega, den)
 
 
-def _sweep_levels(space: Space, lo: Fraction, hi: Fraction, diffs: DifferenceOrders,
+def _sweep_levels(space: Space, lo: Fraction, hi: Fraction, diffs: DifferenceOrders, orders,
                   at_lo: list[WormholeLevel], at_hi: list[WormholeLevel], depth: int):
     """Pick one level inside [lo, hi] per required order, placed in height order.
 
-    The witnesses at lo and at hi come first and last.  The other orders
-    are taken ascending; each either continues the rising chain (least
-    level at or above the current height) or drops in below its top as a
-    straggler.  Returns the levels below the accumulation, the accumulation
-    height (None when the set is finite), and the levels at or above it.
+    The witnesses at lo and at hi come first and last.  The other orders,
+    from ``orders`` (those of ``diffs``, ascending), each either continue
+    the rising chain (least level at or above the current height) or drop
+    in below its top as a straggler.  Returns the levels below the
+    accumulation, the accumulation height (None when the set is finite),
+    and the levels at or above it.
     """
     ms = space.mseq
     anchored = {w.order for w in at_lo + at_hi}
     placed: list[WormholeLevel] = []
     top = lo  # the top of the chain, and the last level placed
     omega: Union[Fraction, Interval, None] = None
-    for order in diffs:
+    for order in orders:
         if order in anchored:
             continue
         level = first_in_interval(ms, order, top, hi)
@@ -391,14 +405,15 @@ def geodesic_path(space: Space, x: Point, y: Point, depth: int = 8) -> PathRep:
     """
     if x == y:
         return _resting(x)
-    interval = minimal_interval(space, x, y)
     low, high = (x, y) if x.height <= y.height else (y, x)
     diffs = difference_orders(low.address, high.address)
-    at_a = [w for _, w in interval.witnesses
-            if interval.a < low.height and _cmp(w, interval.a) == 0]
-    at_b = [w for _, w in interval.witnesses
-            if interval.b > high.height and _cmp(w, interval.b) == 0]
-    pre, omega, post = _sweep_levels(space, interval.a, interval.b, diffs, at_a, at_b, depth)
+    orders = iter(diffs)  # one scan: the interval takes two orders, the sweep the rest
+    interval = minimal_interval(space, low, high, orders)
+    a, b = interval.a, interval.b
+    at_a = [w for _, w in interval.witnesses if a < low.height and _cmp(w, a) == 0]
+    at_b = [w for _, w in interval.witnesses if b > high.height and _cmp(w, b) == 0]
+    orders = chain((order for order, _ in interval.witnesses), orders)  # the interval's, the rest
+    pre, omega, post = _sweep_levels(space, a, b, diffs, orders, at_a, at_b, depth)
     moves = _route(low, high, low.address, high.address, pre, omega, post)
     if low is not x:
         moves = [_flip(move) for move in reversed(moves)]
@@ -411,13 +426,7 @@ def geodesic_path(space: Space, x: Point, y: Point, depth: int = 8) -> PathRep:
 
 def _pick_level(ms: MSequence, order: int, h, strategy: str, upward: bool) -> WormholeLevel:
     if strategy == NEAREST:
-        below, above = snap(ms, order, h, up=False), snap(ms, order, h, up=True)
-        if below is None or above is None:  # every order has a level in (0, 1)
-            return below or above
-        # 2h < below + above in integers; a tie goes above, as in the worked example
-        closer = (2 * h.numerator * below.denominator
-                  < (below.numerator + above.numerator) * h.denominator)
-        return below if closer else above
+        return nearest(ms, order, h, up=True)  # a tie goes above, as in the worked example
     # the side towards the target, or the other when it has no level
     return snap(ms, order, h, up=upward) or snap(ms, order, h, up=not upward)
 

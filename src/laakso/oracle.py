@@ -44,7 +44,6 @@ class ApproxGraph:
     ``flips[i]`` is clear.
     """
 
-    space: Space
     depth: int
     heights: tuple[Fraction, ...]
     orders: tuple[Optional[int], ...]
@@ -97,19 +96,15 @@ def build(space: Space, depth: int, extra_heights=()) -> ApproxGraph:
         heights.add(h)
     ordered = tuple(sorted(heights))
     _check_budget(depth, len(ordered))
-    orders = []
-    for h in ordered:
-        level = classify_height(space.mseq, h)
-        orders.append(level.order if level is not None and level.order <= depth else None)
-    return ApproxGraph(space, depth, ordered, tuple(orders))
+    levels = [classify_height(space.mseq, h) for h in ordered]
+    orders = tuple(None if lv is None or lv.order > depth else lv.order for lv in levels)
+    return ApproxGraph(depth, ordered, orders)
 
 
 def _column(graph: ApproxGraph, address: Address) -> int:
-    mask = 0
-    for j in range(1, graph.depth + 1):
-        if address.digit(j):
-            mask |= 1 << (j - 1)
-    return mask
+    pre, cyc = address.prefix, address.cycle  # as many cycle copies as reach digit K
+    digits = (pre + cyc * -(-(graph.depth - len(pre)) // len(cyc)))[:graph.depth]
+    return sum(digit << j for j, digit in enumerate(digits))
 
 
 def _vertex(graph: ApproxGraph, p: Point) -> tuple[int, int]:
@@ -124,10 +119,8 @@ def graph_distance(graph: ApproxGraph, x: Point, y: Point) -> Fraction:
     diffs = difference_orders(x.address, y.address)
     if not diffs.is_finite or any(order > graph.depth for order in diffs):
         raise NotRepresentable(f"addresses differ beyond depth {graph.depth}: not representable")
-    source = _vertex(graph, x)
     target = _vertex(graph, y)
-    dist = shortest_paths(graph, source, target)
-    return dist[target]
+    return shortest_paths(graph, _vertex(graph, x), target)[target]
 
 
 class Distances(Mapping):
@@ -249,8 +242,9 @@ def iter_edges(graph: ApproxGraph) -> Iterator[tuple[str, str, Fraction]]:
 
 def point_at(graph: ApproxGraph, column: int, hidx: int) -> Point:
     """The canonical point represented by a graph vertex."""
-    digits = tuple((column >> j) & 1 for j in range(graph.depth))
-    return graph.space.point(Address(digits, (0,)), graph.heights[hidx])
+    column &= ~graph.flips[hidx]  # as Space.point clears a level's digit; digits past K are 0
+    digits = tuple((column >> j) & 1 for j in range(column.bit_length()))  # canonical: ends in 1
+    return Point(object.__new__(Address)._store(digits, (0,)), graph.heights[hidx])
 
 
 def agreement_check(space: Space, depth: int, samples: int,
@@ -259,26 +253,21 @@ def agreement_check(space: Space, depth: int, samples: int,
     """Compare graph and closed-form distances on random representable pairs.
 
     Returns (pairs checked, max |difference|); the maximum must be zero.
-    Pairs are grouped by source so one shortest-path run serves several
-    targets.  The caller passes the closed form as ``closed_form(space, x,
-    y)``, so the oracle never imports the code it checks.
+    One search per sampled source serves five sampled targets (a point's
+    vertex is the sampled one up to a zero-weight flip).  The caller passes
+    the closed form as ``closed_form(space, x, y)``, so the oracle never
+    imports the code it checks.
     """
     graph = build(space, depth)
     rng = random.Random(seed)
-    columns = 1 << depth
-    rows = len(graph.heights)
-    per_source = 5
-    worst = Fraction(0)
-    checked = 0
+    columns, rows = 1 << depth, len(graph.heights)
+    worst, checked = Fraction(0), 0
     while checked < samples:
-        src = (rng.randrange(columns), rng.randrange(rows))
-        x = point_at(graph, *src)
-        dist = shortest_paths(graph, _vertex(graph, x))
-        for _ in range(min(per_source, samples - checked)):
-            tgt = (rng.randrange(columns), rng.randrange(rows))
-            y = point_at(graph, *tgt)
-            exact = closed_form(space, x, y)
-            gap = abs(dist[_vertex(graph, y)] - exact)
-            worst = max(worst, gap)
+        source = (rng.randrange(columns), rng.randrange(rows))
+        x = point_at(graph, *source)
+        dist = shortest_paths(graph, source)
+        for _ in range(min(5, samples - checked)):
+            target = (rng.randrange(columns), rng.randrange(rows))
+            worst = max(worst, abs(dist[target] - closed_form(space, x, point_at(graph, *target))))
             checked += 1
     return checked, worst

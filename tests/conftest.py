@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
-from laakso import (Address, InfeasibleSequence, Interval, Jump, MSequence, Point, ScaleFactor,
-                    Segment, Space, WormholeLevel, classify_height)
-from laakso.wormhole import level_from_numerator
+from laakso import (Address, InfeasibleSequence, Interval, InvariantViolation, Jump, MSequence,
+                    Point, ScaleFactor, Segment, Space, WormholeLevel, classify_height,
+                    difference_orders, first_in_interval)
+from laakso.wormhole import level_from_numerator, snap
 
 
 @pytest.fixture(scope="session")
@@ -30,6 +32,16 @@ def s72():
 def q13():
     """Dimension 13/10: irrational scale 2**(10/3)."""
     return Space.from_dimension(Fraction(13, 10))
+
+
+@pytest.fixture(scope="session")
+def s3_433():
+    """Scale 3 with the override prefix 4, 3, 3."""
+    return Space.from_ratio(3, m_override=(4, 3, 3))
+
+
+#: The four spaces of the closed-form checks, as fixture names.
+CLOSED_FORM_SPACES = ["s3", "s72", "q13", "s3_433"]
 
 
 @pytest.fixture
@@ -106,6 +118,39 @@ def reference_limit(ms: MSequence, diffs, order: int, h, bound):
     return None if side * (omega - bound) > 0 else omega
 
 
+def reference_interval(space: Space, x: Point, y: Point):
+    """The minimal interval in Fractions, as (a, b, witnesses).
+
+    An independent statement of the search ``geodesic.minimal_interval``
+    runs in integers over one unit: the candidates, their order and the
+    tie-break are the same, and each bound is a Fraction snapped through
+    ``first_in_interval`` and ``snap``.
+    """
+    if x == y:
+        raise ValueError("minimal interval undefined for equal points")
+    ms = space.mseq
+    lo0, hi0 = sorted((x.height, y.height))
+    candidates: list[tuple[Fraction, Fraction, dict]] = [(lo0, hi0, {})]
+    for order in islice(difference_orders(x.address, y.address), 2):
+        grown: list[tuple[Fraction, Fraction, dict]] = []
+        for a, b, witnesses in candidates:
+            inside = first_in_interval(ms, order, a, b)
+            if inside is not None:
+                grown.append((a, b, {**witnesses, order: inside}))
+                continue
+            below = snap(ms, order, a, up=False)
+            if below is not None:
+                grown.append((below.value, b, {**witnesses, order: below}))
+            above = snap(ms, order, b, up=True)
+            if above is not None:
+                grown.append((a, above.value, {**witnesses, order: above}))
+        candidates = grown
+    if not candidates:
+        raise InvariantViolation("a required order had no level on either side")
+    a, b, witnesses = min(candidates, key=lambda t: (t[1] - t[0], t[1]))
+    return a, b, tuple(sorted(witnesses.items()))
+
+
 def random_address(rng: random.Random, max_prefix: int = 6, max_cycle: int = 3) -> Address:
     prefix = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, max_prefix)))
     cycle = tuple(rng.randint(0, 1) for _ in range(rng.randint(1, max_cycle)))
@@ -116,6 +161,45 @@ def random_point(space: Space, rng: random.Random, max_prefix: int = 6,
                  height_denominator: int = 81):
     height = Fraction(rng.randint(0, height_denominator), height_denominator)
     return space.point(random_address(rng, max_prefix), height)
+
+
+def seeded_pairs(space: Space, rng: random.Random, count: int) -> list[tuple[Point, Point]]:
+    """Distinct point pairs over the cases the closed form distinguishes.
+
+    Heights are free (j/97), grid levels of order 1 to 6, levels of order
+    40 to 100, or 0 and 1; a fifth of the pairs share one height.  A third
+    share a first 40 to 100 digits, so that they differ at deep orders
+    only; random cycles make most difference sets infinite.
+    """
+    ms = space.mseq
+
+    def height() -> Fraction:
+        kind = rng.randrange(4)
+        if kind == 0:
+            return Fraction(rng.randint(0, 97), 97)
+        if kind == 1:
+            den = ms.D(rng.randint(1, 6))
+            return Fraction(rng.randint(0, den), den)
+        if kind == 2:
+            k = rng.randint(40, 100)
+            numerator = rng.randint(1, ms.D(k) - 1)
+            if numerator % ms.entry(k) == 0:  # D_k - 1 is no multiple of m_k
+                numerator += 1
+            return Fraction(numerator, ms.D(k))
+        return Fraction(rng.randint(0, 1))
+
+    def point(common: tuple[int, ...], h: Fraction) -> Point:
+        address = random_address(rng, 8, 4)
+        return space.point(Address(common + address.prefix, address.cycle), h)
+
+    pairs = []
+    while len(pairs) < count:
+        common = tuple(rng.getrandbits(1) for _ in range(rng.choice((0, 0, rng.randint(40, 100)))))
+        hx = height()
+        x, y = point(common, hx), point(common, hx if rng.random() < 0.2 else height())
+        if x != y:
+            pairs.append((x, y))
+    return pairs
 
 
 def omega_value(ms: MSequence, digits) -> WormholeLevel:

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import islice
 
@@ -26,7 +27,8 @@ from laakso import (
 )
 from laakso.geodesic import INVERSION, MONOTONE_DOWN, MONOTONE_UP, OSCILLATING, _limit, validate
 from laakso.wormhole import snap
-from conftest import random_address, random_point, reference_limit, stepwise_length
+from conftest import (CLOSED_FORM_SPACES, random_address, random_point, reference_interval,
+                      reference_limit, seeded_pairs, stepwise_length)
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +154,57 @@ class TestDistance:
                 assert label in (MONOTONE_UP, MONOTONE_DOWN)
 
 
+class TestClosedForm:
+    """The integer search against the Fraction reference, and the isometries."""
+
+    @pytest.mark.parametrize("name", CLOSED_FORM_SPACES)
+    def test_matches_the_fraction_search(self, request, name):
+        space = request.getfixturevalue(name)
+        pairs = seeded_pairs(space, random.Random(f"{name}/interval"), 300)
+        deep = space.mseq.D(39)
+        seen = Counter()
+        for x, y in pairs:
+            interval = minimal_interval(space, x, y)
+            a, b, witnesses = reference_interval(space, x, y)
+            assert (interval.a, interval.b, interval.witnesses) == (a, b, witnesses)
+            assert all(w.denominator == space.mseq.D(k) for k, w in interval.witnesses)
+            assert repr(interval) == f"MinimalInterval(a={a!r}, b={b!r}, witnesses={witnesses!r})"
+            assert distance(space, x, y) == 2 * (b - a) - abs(y.height - x.height)
+            diffs = difference_orders(x.address, y.address)
+            seen["infinite"] += not diffs.is_finite
+            seen["deep order"] += next(iter(diffs), 0) > 40
+            seen["deep height"] += max(x.height.denominator, y.height.denominator) > deep
+            seen["equal"] += x.height == y.height
+            seen["below"] += a < min(x.height, y.height)
+            seen["above"] += b > max(x.height, y.height)
+        assert len(seen) == 6 and min(seen.values()) >= 20, seen
+
+    @pytest.mark.parametrize("name", CLOSED_FORM_SPACES)
+    def test_a_common_flip_is_an_isometry(self, request, name):
+        # the gluing at an order-k level flips digit k, which commutes with
+        # flipping a fixed set of digits on every point
+        space = request.getfixturevalue(name)
+        rng = random.Random(f"{name}/flip")
+        for x, y in seeded_pairs(space, rng, 150):
+            digits = rng.sample(range(1, 110), rng.randint(1, 4))
+
+            def moved(p):
+                address = p.address
+                for k in digits:
+                    address = address.switch(k)
+                return space.point(address, p.height)
+
+            assert distance(space, moved(x), moved(y)) == distance(space, x, y)
+
+    @pytest.mark.parametrize("name", CLOSED_FORM_SPACES)
+    def test_reflecting_heights_is_an_isometry(self, request, name):
+        # j/D_k maps to (D_k - j)/D_k, a multiple of m_k exactly when j is
+        space = request.getfixturevalue(name)
+        for x, y in seeded_pairs(space, random.Random(f"{name}/reflect"), 150):
+            x2, y2 = (space.point(p.address, 1 - p.height) for p in (x, y))
+            assert distance(space, x2, y2) == distance(space, x, y)
+
+
 class TestConnect:
     def test_nearest_follows_worked_construction(self, s3, worked_pair):
         path = connect(s3, *worked_pair, strategy="nearest")
@@ -237,6 +290,36 @@ class TestWork:
             path_length(path)
             classify(path)
             assert fraction_count() - before <= 2
+
+    @pytest.mark.parametrize("name", CLOSED_FORM_SPACES)
+    def test_distance_makes_one_fraction(self, request, name, fraction_count):
+        space = request.getfixturevalue(name)
+        pairs = seeded_pairs(space, random.Random(f"{name}/work"), 60)
+        for x, y in pairs:
+            distance(space, x, y)  # grows the branching sequence first
+        for x, y in pairs:
+            before = fraction_count()
+            distance(space, x, y)
+            assert fraction_count() - before <= 1
+
+    def test_geodesic_reads_each_order_once(self, s3, monkeypatch):
+        # the interval takes the first two orders and the sweep the rest from
+        # one scan; two scans from digit 1 would make 1 212 reads here
+        x = s3.parse_point("0" * 300 + "(01)@1/9")
+        y = s3.parse_point("0" * 299 + "1(10)@5/27")
+        diffs = difference_orders(x.address, y.address)
+        reads = 0
+        digit = Address.digit
+
+        def counted(address, i):
+            nonlocal reads
+            reads += 1
+            return digit(address, i)
+
+        monkeypatch.setattr(Address, "digit", counted)
+        assert geodesic_path(s3, x, y, 8).tail is not None
+        # one pass over the orders' window, then the limit
+        assert reads <= 2 * (diffs.start + diffs.period) + 4 * diffs.period
 
     def test_limit_reads_the_digits_past_the_truncation_only(self, s3, monkeypatch):
         # a 300-digit prefix: the limit sums the orders of one period past

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import laakso
-from laakso import NotRepresentable, ResourceLimit, Space, distance
+from laakso import Address, NotRepresentable, ResourceLimit, Space, distance
 from laakso.oracle import (
     agreement_check,
     build,
@@ -16,8 +16,10 @@ from laakso.oracle import (
     point_at,
     shortest_paths,
     vertex_label,
+    _column,
     _vertex,
 )
+from conftest import CLOSED_FORM_SPACES, random_address
 
 
 class TestBuild:
@@ -186,6 +188,24 @@ class TestAgreement:
         checked, worst = agreement_check(space, 2, 40, distance, seed=7)
         assert checked == 40 and worst == 0
 
+    @pytest.mark.parametrize("name,depth", [("s3", 3), ("s3", 4), ("s72", 3), ("q13", 2)])
+    def test_exhaustive_up_to_both_symmetries(self, request, name, depth):
+        # a common flip of the columns and the reflection h -> 1 - h are
+        # isometries of the graph (TestColumnSets) and of the closed form
+        # (test_geodesic.py::TestClosedForm), so the sources (0, r) for the
+        # lower half of the rows, against every target, cover every pair
+        space = request.getfixturevalue(name)
+        graph = build(space, depth)
+        rows = len(graph.heights)
+        assert all(graph.heights[r] + graph.heights[-1 - r] == 1
+                   and graph.orders[r] == graph.orders[-1 - r] for r in range(rows))
+        targets = [((c, r), point_at(graph, c, r)) for c in range(1 << depth) for r in range(rows)]
+        for row in range((rows + 1) // 2):
+            x = point_at(graph, 0, row)
+            dist = shortest_paths(graph, (0, row))
+            for vertex, y in targets:
+                assert dist[vertex] == distance(space, x, y)
+
 
 class TestIndependence:
     @pytest.mark.parametrize("module", ["oracle.py", "space.py"])
@@ -275,11 +295,6 @@ class TestShortestPaths:
             early[(0, len(graph.heights) - 1)]
 
 
-@pytest.fixture(scope="module")
-def s3_433():
-    return Space.from_ratio(3, m_override=(4, 3, 3))
-
-
 class TestWiderAgreement:
     @pytest.mark.parametrize("name,depth,vertices", [
         ("s72", 5, 18_464),
@@ -357,3 +372,44 @@ class TestColumnSets:
                 shortest_paths(graph, outside)
             with pytest.raises(ValueError, match="target"):
                 shortest_paths(graph, (0, 0), outside)
+
+
+class TestVertexPoints:
+    """Grid vertices to canonical points and back, read off the graph's own data."""
+
+    @staticmethod
+    def graph(space, depth):
+        # a free height and two levels deeper than K
+        deeper, deepest = space.mseq.D(depth + 1), space.mseq.D(depth + 2)
+        extras = [Fraction(1, 5), Fraction(1, deeper), Fraction(deepest - 1, deepest)]
+        return build(space, depth, extra_heights=extras)
+
+    @pytest.mark.parametrize("name", CLOSED_FORM_SPACES)
+    def test_point_at_is_the_canonical_point(self, request, name):
+        space = request.getfixturevalue(name)
+        graph = self.graph(space, 2)
+        assert Fraction(1, space.mseq.D(3)) in graph.heights
+        for column in range(4):
+            digits = tuple((column >> j) & 1 for j in range(2))
+            for row, height in enumerate(graph.heights):
+                assert point_at(graph, column, row) == space.point(Address(digits, (0,)), height)
+
+    @pytest.mark.parametrize("name", CLOSED_FORM_SPACES)
+    def test_vertex_reads_the_first_k_digits(self, request, name):
+        graph = self.graph(request.getfixturevalue(name), 3)
+        for column in range(8):
+            for row in range(len(graph.heights)):
+                p = point_at(graph, column, row)
+                digits = sum(1 << (j - 1) for j in range(1, 4) if p.address.digit(j))
+                assert _vertex(graph, p) == (digits, row) == (column & ~graph.flips[row], row)
+
+    def test_column_of_prefixes_shorter_and_longer_than_k(self, s3):
+        graph = build(s3, 4)
+        rng = random.Random(71)
+        lengths = set()
+        for _ in range(300):
+            address = random_address(rng, 9, 4)
+            lengths.add(len(address.prefix) > 4)
+            digits = sum(1 << (j - 1) for j in range(1, 5) if address.digit(j))
+            assert _column(graph, address) == digits
+        assert lengths == {False, True}
