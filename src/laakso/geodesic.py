@@ -10,8 +10,8 @@ the finitely many moves beyond the accumulation kept in a post list.
 Every height is an exact rational read through ``numerator`` and
 ``denominator``: an endpoint's ``Fraction``, a level or an exact limit.
 Segments hold the heights they join, builders compare heights by
-cross-multiplication, and the closed form below takes the heights and its
-levels over one common unit, so a ``Fraction`` is built only on output
+cross-multiplication, and the closed form below compares its widths over
+one common unit, so a ``Fraction`` is built only on output
 (``Segment.h_start``, a level's value, an interval's ends, a distance, a
 path's length, an exact limit).
 
@@ -41,7 +41,6 @@ from .wormhole import (
     classify_height,
     first_in_interval,
     last_in_interval,
-    nearest,
     snap,
 )
 
@@ -140,9 +139,12 @@ class PathRep:
         return tuple(e for e in self.items + self.post if isinstance(e, Jump))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MinimalInterval:
-    """[a, b] = [low, high] / unit, with one witnessing level per processed required order."""
+    """[a, b] = [low, high] / unit, with one witnessing level per processed required order.
+
+    Equality and hashing follow a, b and the witnesses, whatever the unit.
+    """
 
     low: int
     high: int
@@ -153,10 +155,19 @@ class MinimalInterval:
     b = property(lambda self: Fraction(self.high, self.unit))
 
     def length_between(self, x: Point, y: Point) -> Fraction:
-        """2(b-a) - |h(y)-h(x)|: a shortest path's length between the interval's endpoints x, y."""
-        unit, hx, hy = self.unit, x.height, y.height  # a multiple of both height denominators
+        """2(b-a) - |h(y)-h(x)|: the length of a shortest path from x to y over [a, b]."""
+        hx, hy = x.height, y.height
+        unit = lcm(self.unit, hx.denominator, hy.denominator)  # self.unit for its own endpoints
         rise = hy.numerator * (unit // hy.denominator) - hx.numerator * (unit // hx.denominator)
-        return Fraction(2 * (self.high - self.low) - abs(rise), unit)
+        return Fraction(2 * (self.high - self.low) * (unit // self.unit) - abs(rise), unit)
+
+    def __eq__(self, other):
+        if not isinstance(other, MinimalInterval):
+            return NotImplemented
+        return (self.a, self.b, self.witnesses) == (other.a, other.b, other.witnesses)
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.witnesses))
 
     def __repr__(self):
         return f"MinimalInterval(a={self.a!r}, b={self.b!r}, witnesses={self.witnesses!r})"
@@ -175,44 +186,44 @@ def minimal_interval(space: Space, x: Point, y: Point, orders=None) -> MinimalIn
     are kept as branches.  After two orders every branch holds witnesses of
     two distinct orders, and the nesting property supplies every higher
     required order in between, so at most the first two orders matter.
-    The best branch wins: minimal width, then smaller b.  The unit is the
-    lcm of the height denominators and D_k2.  ``orders``, if given, is an
-    iterator over the difference orders, and is left at the third.
+    The best branch wins: minimal width, then smaller b, compared over one
+    unit, the lcm of the height denominators and D_k2.  ``orders``, if
+    given, is an iterator over the difference orders, and is left at the
+    third.
     """
     if x == y:
         raise ValueError("minimal interval undefined for equal points")
     ms = space.mseq
     required = list(islice(orders or iter(difference_orders(x.address, y.address)), 2))
-    hx, hy = x.height, y.height
-    unit = lcm(hx.denominator, hy.denominator, ms.D(max(required, default=0)))
-    ends = hx.numerator * (unit // hx.denominator), hy.numerator * (unit // hy.denominator)
-    candidates: list[tuple[int, int, tuple]] = [(min(ends), max(ends), ())]
+    lo, hi = (x.height, y.height) if x.height <= y.height else (y.height, x.height)
+    candidates: list[tuple] = [(lo, hi, ())]  # heights: Fractions or levels
     for order in required:
-        den, m_k = ms.D(order), ms.entry(order)
-        step = unit // den  # an order-k level is j * step, j no multiple of m_k
-        grown: list[tuple[int, int, tuple]] = []
-        for a, b, found in candidates:
-            up = max(1, -(-a // step))  # the least order-k level at or above a
-            up += up % m_k == 0  # past a multiple of m_k
-            if up < den and up * step <= b:
-                grown.append((a, b, found + ((order, up),)))
+        grown: list[tuple] = []
+        for a, b, witnesses in candidates:
+            above = snap(ms, order, a, up=True)  # the least level at or above a
+            if above is not None and _cmp(above, b) <= 0:
+                grown.append((a, b, witnesses + ((order, above),)))
                 continue
-            down = min(den - 1, a // step)  # the greatest at or below a
-            down -= down % m_k == 0  # below a multiple of m_k
-            if down > 0:
-                grown.append((down * step, b, found + ((order, down),)))
-            if up < den:  # none inside [a, b], so the least above a lies above b
-                grown.append((a, up * step, found + ((order, up),)))
+            below = snap(ms, order, a, up=False)
+            if below is not None:
+                grown.append((below, b, witnesses + ((order, below),)))
+            if above is not None:  # none inside [a, b], so the least above a lies above b
+                grown.append((a, above, witnesses + ((order, above),)))
         candidates = grown
     if not candidates:
         raise InvariantViolation("a required order had no level on either side")
-    a, b, found = min(candidates, key=lambda t: (t[1] - t[0], t[1]))
-    return MinimalInterval(a, b, unit, tuple((k, WormholeLevel(k, j, ms.D(k))) for k, j in found))
+    unit = lcm(lo.denominator, hi.denominator, ms.D(max(required, default=0)))
+    ends = [(a.numerator * (unit // a.denominator), b.numerator * (unit // b.denominator), w)
+            for a, b, w in candidates]  # over the unit, which every bound's denominator divides
+    low, high, witnesses = min(ends, key=lambda t: (t[1] - t[0], t[1]))
+    return MinimalInterval(low, high, unit, witnesses)
 
 
 def distance(space: Space, x: Point, y: Point) -> Fraction:
     """Exact geodesic distance: 2(b-a) - |h(y)-h(x)| over the minimal interval."""
-    return minimal_interval(space, x, y).length_between(x, y) if x != y else Fraction(0)
+    if x == y:
+        return Fraction(0)
+    return minimal_interval(space, x, y).length_between(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +437,13 @@ def geodesic_path(space: Space, x: Point, y: Point, depth: int = 8) -> PathRep:
 
 def _pick_level(ms: MSequence, order: int, h, strategy: str, upward: bool) -> WormholeLevel:
     if strategy == NEAREST:
-        return nearest(ms, order, h, up=True)  # a tie goes above, as in the worked example
+        below, above = snap(ms, order, h, up=False), snap(ms, order, h, up=True)
+        if below is None or above is None:  # every order has a level in (0, 1)
+            return below or above
+        # 2h < below + above in integers; a tie goes above, as in the worked example
+        closer = (2 * h.numerator * below.denominator
+                  < (below.numerator + above.numerator) * h.denominator)
+        return below if closer else above
     # the side towards the target, or the other when it has no level
     return snap(ms, order, h, up=upward) or snap(ms, order, h, up=not upward)
 

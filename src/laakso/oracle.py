@@ -96,9 +96,11 @@ def build(space: Space, depth: int, extra_heights=()) -> ApproxGraph:
         heights.add(h)
     ordered = tuple(sorted(heights))
     _check_budget(depth, len(ordered))
-    levels = [classify_height(space.mseq, h) for h in ordered]
-    orders = tuple(None if lv is None or lv.order > depth else lv.order for lv in levels)
-    return ApproxGraph(depth, ordered, orders)
+    orders = []
+    for h in ordered:
+        level = classify_height(space.mseq, h)
+        orders.append(level.order if level is not None and level.order <= depth else None)
+    return ApproxGraph(depth, ordered, tuple(orders))
 
 
 def _column(graph: ApproxGraph, address: Address) -> int:
@@ -119,8 +121,10 @@ def graph_distance(graph: ApproxGraph, x: Point, y: Point) -> Fraction:
     diffs = difference_orders(x.address, y.address)
     if not diffs.is_finite or any(order > graph.depth for order in diffs):
         raise NotRepresentable(f"addresses differ beyond depth {graph.depth}: not representable")
+    source = _vertex(graph, x)
     target = _vertex(graph, y)
-    return shortest_paths(graph, _vertex(graph, x), target)[target]
+    dist = shortest_paths(graph, source, target)
+    return dist[target]
 
 
 class Distances(Mapping):
@@ -253,21 +257,26 @@ def agreement_check(space: Space, depth: int, samples: int,
     """Compare graph and closed-form distances on random representable pairs.
 
     Returns (pairs checked, max |difference|); the maximum must be zero.
-    One search per sampled source serves five sampled targets (a point's
-    vertex is the sampled one up to a zero-weight flip).  The caller passes
-    the closed form as ``closed_form(space, x, y)``, so the oracle never
-    imports the code it checks.
+    Pairs are grouped by source so one shortest-path run serves several
+    targets.  The caller passes the closed form as ``closed_form(space, x,
+    y)``, so the oracle never imports the code it checks.
     """
     graph = build(space, depth)
     rng = random.Random(seed)
-    columns, rows = 1 << depth, len(graph.heights)
-    worst, checked = Fraction(0), 0
+    columns = 1 << depth
+    rows = len(graph.heights)
+    per_source = 5
+    worst = Fraction(0)
+    checked = 0
     while checked < samples:
-        source = (rng.randrange(columns), rng.randrange(rows))
-        x = point_at(graph, *source)
-        dist = shortest_paths(graph, source)
-        for _ in range(min(5, samples - checked)):
-            target = (rng.randrange(columns), rng.randrange(rows))
-            worst = max(worst, abs(dist[target] - closed_form(space, x, point_at(graph, *target))))
+        src = (rng.randrange(columns), rng.randrange(rows))
+        x = point_at(graph, *src)
+        dist = shortest_paths(graph, _vertex(graph, x))
+        for _ in range(min(per_source, samples - checked)):
+            tgt = (rng.randrange(columns), rng.randrange(rows))
+            y = point_at(graph, *tgt)
+            exact = closed_form(space, x, y)
+            gap = abs(dist[_vertex(graph, y)] - exact)
+            worst = max(worst, gap)
             checked += 1
     return checked, worst

@@ -212,14 +212,12 @@ def last_in_interval(ms: MSequence, k: int, lo, hi) -> Optional[WormholeLevel]:
     return level
 
 
-def nearest(ms: MSequence, k: int, y, up: bool = False) -> WormholeLevel:
-    """The order-k level closest to y; an exact tie goes below, or above when up."""
+def nearest(ms: MSequence, k: int, y) -> WormholeLevel:
+    """The order-k level closest to y; an exact tie returns the lower level."""
     below, above = snap(ms, k, y, up=False), snap(ms, k, y, up=True)
     if below is None or above is None:  # every order has a level in (0, 1)
         return below or above
-    # 2y against below + above in integers, the two levels sharing D_k
-    gap = 2 * y.numerator * below.denominator - (below.numerator + above.numerator) * y.denominator
-    return below if gap < 0 or gap == 0 and not up else above
+    return below if y - below.value <= above.value - y else above
 
 
 def level_count(ms: MSequence, k: int, lo, hi) -> int:

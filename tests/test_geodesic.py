@@ -12,6 +12,7 @@ import pytest
 from laakso import (
     Address,
     Interval,
+    MinimalInterval,
     Segment,
     Space,
     WormholeLevel,
@@ -178,6 +179,24 @@ class TestClosedForm:
             seen["below"] += a < min(x.height, y.height)
             seen["above"] += b > max(x.height, y.height)
         assert len(seen) == 6 and min(seen.values()) >= 20, seen
+
+    def test_length_between_takes_any_points(self, s3):
+        # heights whose denominators do not divide the interval's unit
+        rng = random.Random(45)
+        for x, y in seeded_pairs(s3, rng, 100):
+            interval = minimal_interval(s3, x, y)
+            u, v = (s3.point(x.address, Fraction(rng.randrange(1, 101), 101)) for _ in "uv")
+            want = 2 * (interval.b - interval.a) - abs(v.height - u.height)
+            assert interval.length_between(u, v) == want
+
+    def test_equality_follows_the_ends_whatever_the_unit(self, s3, worked_pair):
+        interval = minimal_interval(s3, *worked_pair)
+        scaled = MinimalInterval(7 * interval.low, 7 * interval.high, 7 * interval.unit,
+                                 interval.witnesses)
+        assert scaled == interval and hash(scaled) == hash(interval)
+        assert scaled != MinimalInterval(interval.low, interval.high + 1, interval.unit,
+                                         interval.witnesses)
+        assert scaled != MinimalInterval(interval.low, interval.high, interval.unit, ())
 
     @pytest.mark.parametrize("name", CLOSED_FORM_SPACES)
     def test_a_common_flip_is_an_isometry(self, request, name):
