@@ -89,21 +89,6 @@ def _path_json(path: PathRep):
     }
 
 
-def _guarded(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except ParseError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
-        except (InfeasibleSequence, InvariantViolation, ResourceLimit) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(3)
-
-    return wrapper
-
-
 class _Config:
     def __init__(self, s, q, m_override, seed):
         self.s = s
@@ -130,7 +115,18 @@ class _Config:
             raise ParseError(f"{what} {literal!r} {rule}") from None
 
 
-@click.group()
+class _Group(click.Group):
+    """Runs a command; a ParseError exits 2 and the other library errors 3, each with one ``error:`` line."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ParseError, InfeasibleSequence, InvariantViolation, ResourceLimit) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(2 if isinstance(exc, ParseError) else 3)
+
+
+@click.group(cls=_Group)
 @click.option("--scale", "-s", "s", default=None, help="Rational scale s > 2, e.g. 3 or 7/2.")
 @click.option("--dimension", "-q", "q", default=None, help="Rational dimension Q in (1,2), e.g. 13/10.")
 @click.option("--m-override", default=None, help="Comma-separated branching entries to force, e.g. 3,3,4.")
@@ -146,7 +142,6 @@ def main(ctx, s, q, m_override, seed):
 @main.command("space-info")
 @click.option("--entries", type=click.IntRange(min=0), default=8, show_default=True, help="How many branching entries to print.")
 @click.pass_obj
-@_guarded
 def space_info(cfg, entries):
     """Print n, the first branching entries and their product."""
     sp = cfg.space
@@ -167,7 +162,6 @@ def space_info(cfg, entries):
 @click.option("--from", "lo", default="0", show_default=True, help="Lower height bound.")
 @click.option("--to", "hi", default="1", show_default=True, help="Upper height bound.")
 @click.pass_obj
-@_guarded
 def wormholes(cfg, order, lo, hi):
     """Sorted identification heights of one order inside a range."""
     levels = cfg.space.wormholes(order, _fraction(lo), _fraction(hi))
@@ -178,7 +172,6 @@ def wormholes(cfg, order, lo, hi):
 @click.argument("x")
 @click.argument("y")
 @click.pass_obj
-@_guarded
 def distance_cmd(cfg, x, y):
     """Exact distance between two point literals like "101(0)@1/10"."""
     sp = cfg.space
@@ -195,7 +188,6 @@ def distance_cmd(cfg, x, y):
 @click.option("--depth", type=click.IntRange(min=1), default=8, show_default=True, help="Jumps to materialize before truncating.")
 @click.option("--svg", "svg_out", type=click.Path(dir_okay=False), default=None, help="Also write an SVG figure.")
 @click.pass_obj
-@_guarded
 def geodesic_cmd(cfg, x, y, depth, svg_out):
     """A shortest path, with its minimal interval and exact length."""
     sp = cfg.space
@@ -219,7 +211,6 @@ def geodesic_cmd(cfg, x, y, depth, svg_out):
 @click.option("--strategy", type=click.Choice(["nearest", "increasing"]), default="nearest", show_default=True)
 @click.option("--depth", type=click.IntRange(min=1), default=8, show_default=True)
 @click.pass_obj
-@_guarded
 def path_cmd(cfg, x, y, strategy, depth):
     """A constructive (not necessarily shortest) path between two points."""
     sp = cfg.space
@@ -232,7 +223,6 @@ def path_cmd(cfg, x, y, strategy, depth):
 @click.option("--count", type=click.IntRange(min=0), default=8, show_default=True, help="Number of sampled points.")
 @click.option("--prefix-len", type=click.IntRange(min=0), default=4, show_default=True, help="Maximum address prefix length.")
 @click.pass_obj
-@_guarded
 def matrix(cfg, count, prefix_len):
     """Exact pairwise distances over deterministically sampled points."""
     sp = cfg.space
@@ -261,7 +251,6 @@ def matrix(cfg, count, prefix_len):
 @click.option("--depth", type=click.IntRange(min=1), required=True, help="Approximation depth K.")
 @click.option("--samples", type=click.IntRange(min=1), default=200, show_default=True)
 @click.pass_obj
-@_guarded
 def oracle_check(cfg, depth, samples):
     """Randomized agreement test: graph distance vs closed form."""
     checked, worst = oracle_mod.agreement_check(cfg.space, depth, samples, distance, cfg.seed)
@@ -275,7 +264,6 @@ def oracle_check(cfg, depth, samples):
 @click.option("--format", "fmt", type=click.Choice(["edgelist"]), default="edgelist", show_default=True)
 @click.option("--extra-height", "extras", multiple=True, help="Insert an extra height node (repeatable).")
 @click.pass_obj
-@_guarded
 def oracle_export(cfg, depth, fmt, extras):
     """Emit the approximation graph as `u v w` lines with exact weights."""
     heights = [_fraction(e) for e in extras]

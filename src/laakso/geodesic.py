@@ -41,6 +41,7 @@ from .wormhole import (
     classify_height,
     first_in_interval,
     last_in_interval,
+    nearest,
     snap,
 )
 
@@ -435,19 +436,6 @@ def geodesic_path(space: Space, x: Point, y: Point, depth: int = 8) -> PathRep:
 # the constructive connection algorithm
 
 
-def _pick_level(ms: MSequence, order: int, h, strategy: str, upward: bool) -> WormholeLevel:
-    if strategy == NEAREST:
-        below, above = snap(ms, order, h, up=False), snap(ms, order, h, up=True)
-        if below is None or above is None:  # every order has a level in (0, 1)
-            return below or above
-        # 2h < below + above in integers; a tie goes above, as in the worked example
-        closer = (2 * h.numerator * below.denominator
-                  < (below.numerator + above.numerator) * h.denominator)
-        return below if closer else above
-    # the side towards the target, or the other when it has no level
-    return snap(ms, order, h, up=upward) or snap(ms, order, h, up=not upward)
-
-
 def connect(space: Space, x: Point, y: Point, strategy: str = NEAREST, depth: int = 8) -> PathRep:
     """A (not necessarily shortest) path built by the step-by-step algorithm.
 
@@ -480,7 +468,10 @@ def connect(space: Space, x: Point, y: Point, strategy: str = NEAREST, depth: in
     omega: Union[Fraction, Interval, None] = None
     h = x.height
     for count, order in enumerate(diffs, 1):
-        h = _pick_level(ms, order, h, strategy, upward)
+        if strategy == NEAREST:
+            h = nearest(ms, order, h)
+        else:  # the side towards the target, or the other when it has no level
+            h = snap(ms, order, h, up=upward) or snap(ms, order, h, up=not upward)
         levels.append(h)
         if diffs.is_finite or count < depth:
             continue

@@ -213,11 +213,13 @@ def last_in_interval(ms: MSequence, k: int, lo, hi) -> Optional[WormholeLevel]:
 
 
 def nearest(ms: MSequence, k: int, y) -> WormholeLevel:
-    """The order-k level closest to y; an exact tie returns the lower level."""
+    """The order-k level closest to the height y (as for ``snap``); a tie goes up, as in Laakso's example."""
     below, above = snap(ms, k, y, up=False), snap(ms, k, y, up=True)
     if below is None or above is None:  # every order has a level in (0, 1)
         return below or above
-    return below if y - below.value <= above.value - y else above
+    # 2y < below + above, in integers over D_k
+    closer = 2 * y.numerator * below.denominator < (below.numerator + above.numerator) * y.denominator
+    return below if closer else above
 
 
 def level_count(ms: MSequence, k: int, lo, hi) -> int:

@@ -142,6 +142,48 @@ class TestGlobalOptions:
         )
 
 
+class TestErrorBoundary:
+    """Every command maps a library error to its exit code and one ``error:`` line."""
+
+    COMMANDS = [
+        ("space-info",),
+        ("wormholes", "--order", "1"),
+        ("distance", "(0)@0", "(1)@1"),
+        ("geodesic", "(0)@0", "(1)@1"),
+        ("path", "(0)@0", "(1)@1"),
+        ("matrix",),
+        ("oracle-check", "--depth", "1"),
+        ("oracle-export", "--depth", "1"),
+    ]
+
+    def test_every_command_is_covered(self):
+        assert sorted(args[0] for args in self.COMMANDS) == sorted(main.commands)
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=[args[0] for args in COMMANDS])
+    def test_parse_error_exits_2(self, runner, command):
+        result = invoke(runner, "-s", "2", *command)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: scale '2' must exceed 2\n"
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=[args[0] for args in COMMANDS])
+    def test_infeasible_override_exits_3(self, runner, command):
+        result = invoke(runner, "-s", "3", "--m-override", "5", *command)
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr == "error: entry 1: override entry 5 not in {3, 4}\n"
+
+    def test_bad_override_list_exits_2(self, runner):
+        result = invoke(runner, "-s", "3", "--m-override", "3,x", "space-info")
+        assert result.exit_code == 2
+        assert result.stderr == "error: bad override list '3,x'\n"
+
+    def test_matrix_without_enough_points_exits_2(self, runner):
+        result = invoke(runner, "-s", "3", "matrix", "--count", "5", "--prefix-len", "0")
+        assert result.exit_code == 2
+        assert "cannot sample 5 distinct points with prefix length 0" in result.stderr
+
+
 class TestSpaceInfo:
     def test_payload(self, runner):
         result = invoke(runner, "-s", "3", "space-info", "--entries", "5")
@@ -199,6 +241,10 @@ class TestWormholes:
         assert result.exit_code == 3
         assert result.output == f"error: more than 200000 order-{order} levels: over the listing budget\n"
 
+    def test_range_with_no_level_lists_none(self, runner):
+        result = invoke(runner, "-s", "3", "wormholes", "--order", "1", "--from", "1/10", "--to", "1/5")
+        assert result.exit_code == 0 and json.loads(result.output) == []
+
     def test_single_height_at_high_order_is_decoded(self, runner):
         started = time.monotonic()
         result = invoke(runner, "-s", "7/2", "wormholes", "--order", "20000", "--from", "1/2", "--to", "1/2")
@@ -240,6 +286,12 @@ class TestDistance:
         result = invoke(runner, "-s", "3", "distance", "0@1/2", "0@1/2")
         payload = json.loads(result.output)
         assert payload["distance"] == "0" and payload["interval"] is None
+
+    def test_geodesic_between_two_literals_of_one_point(self, runner):
+        # at s=3, 1/3 is the order-1 level: the two addresses are glued there
+        result = invoke(runner, "-s", "3", "geodesic", "(0)@1/3", "1(0)@1/3")
+        assert result.exit_code == 0
+        assert json.loads(result.output) == {"distance": "0", "interval": None, "path": None}
 
     def test_bad_point_exits_2_naming_token(self, runner):
         result = invoke(runner, "-s", "3", "distance", "10a(0)@1/2", "(0)@0")

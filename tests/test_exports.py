@@ -7,7 +7,10 @@ function the benchmark wraps by name counts).  A helper, a top-level
 function or class that is not exported (private or not), passes on the
 same terms, except that a load in its own module or an attribute load
 (``oracle_mod.iter_edges``) counts too.  A decorated function is skipped:
-its decorator registers it (the CLI commands).
+its decorator registers it (the CLI commands).  A method or a property
+defined in a class body passes when a module of ``src/laakso`` reads its
+name as an attribute, or when ``bench/`` names it; dunder methods are
+called by Python and skipped.
 """
 
 import ast
@@ -74,6 +77,19 @@ def unused_helpers(exports, sources: dict[str, str], bench: list[str]) -> list[s
                   if name not in exports and not name.startswith("__"))
 
 
+def unused_methods(sources: dict[str, str], bench: list[str]) -> list[str]:
+    """``Class.name`` of every non-dunder method or property that nothing reads."""
+    callers = bench_mentions(bench)
+    methods = []
+    for source in sources.values():
+        tree = ast.parse(source)
+        callers |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        methods += [(cls.name, statement.name) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                    for statement in cls.body if isinstance(statement, ast.FunctionDef)
+                    and not (statement.name.startswith("__") and statement.name.endswith("__"))]
+    return sorted(f"{cls}.{name}" for cls, name in methods if name not in callers)
+
+
 def test_every_export_has_a_caller():
     sources = {path.name: path.read_text() for path in SOURCE.glob("*.py")}
     bench = [path.read_text() for path in (ROOT / "bench").glob("*.py")]
@@ -105,3 +121,21 @@ def test_a_helper_nothing_calls_is_caught():
     }
     assert unused_helpers(["exported"], sources, []) == ["_left", "left_over"]
     assert unused_helpers(["exported"], sources, ['TARGETS = (("one", "_left"),)']) == ["left_over"]
+
+
+def test_every_method_has_a_caller():
+    sources = {path.name: path.read_text() for path in SOURCE.glob("*.py")}
+    bench = [path.read_text() for path in (ROOT / "bench").glob("*.py")]
+    assert unused_methods(sources, bench) == []
+
+
+def test_a_method_nothing_calls_is_caught():
+    sources = {
+        "one.py": "class Kept:\n    def __init__(self):\n        self._step()\n\n"
+                  "    def _step(self):\n        pass\n\n    @property\n    def size(self):\n"
+                  "        return 1\n\n    def left_over(self):\n        pass\n\n"
+                  "    def wrapped(self):\n        pass\n",
+        "two.py": "from .one import Kept\n\ndef f(size, left_over):\n    return Kept().size\n",
+    }
+    assert unused_methods(sources, []) == ["Kept.left_over", "Kept.wrapped"]
+    assert unused_methods(sources, ['TARGETS = (("one", "Kept"), "wrapped")']) == ["Kept.left_over"]

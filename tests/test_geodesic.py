@@ -514,6 +514,24 @@ class TestGeodesic:
         label, _ = classify(path)
         assert label == MONOTONE_DOWN
 
+    @pytest.mark.parametrize("name", CLOSED_FORM_SPACES)
+    def test_every_vertex_lies_between_the_ends(self, request, name):
+        # d(x, p) + d(p, y) = d(x, y) at each explicit vertex p (segment ends
+        # and jumps, before and after a tail), from distances only, so the
+        # path's own length plays no part
+        space = request.getfixturevalue(name)
+        for x, y in seeded_pairs(space, random.Random(49), 100):
+            whole = distance(space, x, y)
+            vertices = set()
+            path = geodesic_path(space, x, y, 8)
+            for move in path.items + path.post:
+                if isinstance(move, Segment):
+                    vertices |= {space.point(move.address, move.h_start), space.point(move.address, move.h_end)}
+                else:
+                    vertices.add(space.point(move.from_address, move.height))
+            for p in vertices:
+                assert distance(space, x, p) + distance(space, p, y) == whole, (str(x), str(y), str(p))
+
     def test_jumps_are_valid_switches(self, s3):
         rng = random.Random(48)
         for _ in range(200):

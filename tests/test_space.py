@@ -100,6 +100,10 @@ class TestWormholes:
             space.wormholes(2000)
         assert space.mseq._products == [1]  # no entry was chosen
 
+    def test_a_range_with_no_level_lists_none(self):
+        # the only order-1 levels at s=3 are 1/3 and 2/3
+        assert Space.from_ratio(3).wormholes(1, Fraction(1, 10), Fraction(1, 5)) == []
+
 
 class TestPointLiterals:
     def test_round_trip(self, s3):

@@ -291,8 +291,8 @@ class TestQueries:
     def test_nearest_examples(self, s3):
         assert nearest(s3.mseq, 1, Fraction(1, 5)).value == Fraction(1, 3)
         assert snap(s3.mseq, 3, Fraction(1, 3), up=True).value == Fraction(10, 27)
-        # an exact tie resolves to the lower level
-        assert nearest(s3.mseq, 1, Fraction(1, 2)).value == Fraction(1, 3)
+        # an exact tie resolves to the upper level
+        assert nearest(s3.mseq, 1, Fraction(1, 2)).value == Fraction(2, 3)
 
     def test_snap_finds_none_past_the_last_level(self, s3):
         assert snap(s3.mseq, 1, Fraction(1, 5), up=False) is None
@@ -304,7 +304,7 @@ class TestQueries:
             k = rng.randint(1, 4)
             y = Fraction(rng.randint(0, 243), 243)
             values = brute_levels(s3.mseq, k)
-            best = min(values, key=lambda v: (abs(v - y), v))
+            best = min(values, key=lambda v: (abs(v - y), -v))
             assert nearest(s3.mseq, k, y).value == best
 
     def test_levels_in_range_sorted(self, s3):
@@ -367,7 +367,7 @@ class TestLevelProperties:
         for up, expected in ((False, below), (True, above)):
             level = snap(ms, k, y, up)
             assert (level.value if level else None) == expected
-        best = min((v for v in (below, above) if v is not None), key=lambda v: (abs(v - y), v))
+        best = min((v for v in (below, above) if v is not None), key=lambda v: (abs(v - y), -v))
         assert nearest(ms, k, y).value == best
 
     @settings(max_examples=25, deadline=None)
