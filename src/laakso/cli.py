@@ -18,12 +18,10 @@ from fractions import Fraction
 
 import click
 
-from . import oracle as oracle_mod
 from .errors import InfeasibleSequence, InvariantViolation, ParseError, ResourceLimit
 from .fractal import Address, format_address
 from .geodesic import PathRep, classify, connect, distance, geodesic_path, minimal_interval, path_length
 from .numeric import Interval
-from .render import path_svg
 from .space import Space
 
 
@@ -197,9 +195,11 @@ def geodesic_cmd(cfg, x, y, depth, svg_out):
         return
     path = geodesic_path(sp, px, py, depth)
     if svg_out:
+        from . import render
+
         try:
             with open(svg_out, "w") as handle:
-                handle.write(path_svg(sp, path))
+                handle.write(render.path_svg(sp, path))
         except OSError as exc:
             raise ParseError(f"cannot write {svg_out!r}: {exc.strerror}") from None
     _emit({**_distance_json(sp, px, py), "path": _path_json(path)})
@@ -243,7 +243,11 @@ def matrix(cfg, count, prefix_len):
         if point not in seen:
             seen.add(point)
             points.append(point)
-    table = [[_text(distance(sp, a, b)) for b in points] for a in points]
+    # the distance is symmetric and zero on the diagonal: each unordered pair once
+    table = [["0"] * count for _ in points]
+    for i, a in enumerate(points):
+        for j in range(i + 1, count):
+            table[i][j] = table[j][i] = _text(distance(sp, a, points[j]))
     _emit({"points": [_text(p) for p in points], "matrix": table})
 
 
@@ -253,7 +257,9 @@ def matrix(cfg, count, prefix_len):
 @click.pass_obj
 def oracle_check(cfg, depth, samples):
     """Randomized agreement test: graph distance vs closed form."""
-    checked, worst = oracle_mod.agreement_check(cfg.space, depth, samples, distance, cfg.seed)
+    from . import oracle
+
+    checked, worst = oracle.agreement_check(cfg.space, depth, samples, distance, cfg.seed)
     _emit({"depth": depth, "samples": checked, "max_discrepancy": _text(worst)})
     if worst != 0:
         sys.exit(1)
@@ -266,13 +272,15 @@ def oracle_check(cfg, depth, samples):
 @click.pass_obj
 def oracle_export(cfg, depth, fmt, extras):
     """Emit the approximation graph as `u v w` lines with exact weights."""
+    from . import oracle
+
     heights = [_fraction(e) for e in extras]
     _text(heights)  # formats every height, as the vertex labels will
     try:
-        graph = oracle_mod.build(cfg.space, depth, heights)
+        graph = oracle.build(cfg.space, depth, heights)
     except ValueError as exc:  # an extra height outside [0, 1]
         raise ParseError(str(exc)) from None
-    for u, v, w in oracle_mod.iter_edges(graph):
+    for u, v, w in oracle.iter_edges(graph):
         click.echo(f"{u} {v} {_text(w)}")
 
 

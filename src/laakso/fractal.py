@@ -20,6 +20,9 @@ from .errors import InvariantViolation, ParseError
 from .numeric import Interval, ScaleFactor
 
 
+_DIGITS = frozenset((0, 1))
+
+
 @dataclass(frozen=True)
 class Address:
     """Canonical eventually periodic 0/1 string.
@@ -38,14 +41,14 @@ class Address:
         pre, cyc = self.prefix, self.cycle
         if not cyc:
             raise ValueError("cycle must be nonempty")
-        if any(d not in (0, 1) for d in pre + cyc):
+        if not _DIGITS.issuperset(pre) or not _DIGITS.issuperset(cyc):
             raise ValueError("digits must be 0 or 1")
         # the primitive period is the first shift at which the cycle recurs
         text = bytes(cyc)
         m = (text + text).find(text, 1)
         # lexicographically least rotation, compensated through the prefix
         doubled = text[:m] * 2
-        j = min(range(m), key=lambda t: doubled[t:t + m])
+        j = doubled.find(min(doubled[t:t + m] for t in range(m)))
         self._store(pre + cyc[:j], tuple(doubled[j:j + m]))
 
     def _store(self, pre: tuple[int, ...], cyc: tuple[int, ...]) -> "Address":
@@ -180,6 +183,9 @@ def value(a: Address, scale: ScaleFactor, bits: int = 64) -> Union[Fraction, Int
 
 _ADDRESS_RE = re.compile(r"^([01]*)(?:\(([01]+)\))?$")
 
+#: The ASCII digits "0" and "1" to the byte values 0 and 1.
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
 
 def parse_address(text: str) -> Address:
     """Parse ``"101(0)"`` style literals.
@@ -198,7 +204,8 @@ def parse_address(text: str) -> Address:
         if not prefix:
             raise ParseError(f"bad address {text!r}: empty")
         cycle = "0"
-    return Address(tuple(int(c) for c in prefix), tuple(int(c) for c in cycle))
+    return Address(tuple(prefix.encode().translate(_DIGIT_VALUES)),
+                   tuple(cycle.encode().translate(_DIGIT_VALUES)))
 
 
 def format_address(a: Address) -> str:

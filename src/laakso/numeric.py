@@ -7,8 +7,8 @@ rational and root = 1 for a rational scale, so every ordering decision of
 s**-i against a rational is one comparison of two integers.  The quantities
 that are genuinely irrational (the horizontal coordinates of points, limit
 heights of infinite paths) are certified rational enclosures: an ``Interval``
-with exact endpoints that adds and subtracts, and the enclosure of 1/s that
-every coordinate bound starts from.
+with exact endpoints, and the enclosure of 1/s that every coordinate bound
+starts from.
 """
 
 from __future__ import annotations
@@ -56,12 +56,7 @@ def _pow(x: int, i: int) -> int:
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed interval with exact rational endpoints.
-
-    Sums and differences are outward-exact: endpoints are Fractions, so no
-    rounding is introduced by the operations themselves; all width comes
-    from the operands.
-    """
+    """Closed interval with exact rational endpoints."""
 
     lo: Fraction
     hi: Fraction
@@ -82,28 +77,6 @@ class Interval:
 
     def contains(self, value) -> bool:
         return self.lo <= Fraction(value) <= self.hi
-
-    def __add__(self, other):
-        lo, hi = (other.lo, other.hi) if isinstance(other, Interval) else (other, other)
-        return Interval(self.lo + lo, self.hi + hi)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Interval(-self.hi, -self.lo)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, Interval) else -Fraction(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __abs__(self):
-        if self.lo >= 0:
-            return self
-        if self.hi <= 0:
-            return -self
-        return Interval(Fraction(0), max(-self.lo, self.hi))
 
     def __str__(self):
         return f"[{self.lo}, {self.hi}]"

@@ -72,10 +72,7 @@ class Space:
         height = Fraction(height)
         if not 0 <= height <= 1:  # not printed: it may be too long for str()
             raise ParseError("height outside [0, 1]")
-        level = classify_height(self.mseq, height)
-        if level is not None and address.digit(level.order) == 1:
-            address = address.switch(level.order)
-        return Point(address, height)
+        return self._canonical(address, height)
 
     def parse_point(self, text: str) -> Point:
         """Parse ``"101(0)@1/10"`` literals."""
@@ -87,9 +84,16 @@ class Space:
             height = Fraction(height_text)
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad height {height_text!r} in {text!r}") from None
-        if not 0 <= height <= 1:
+        if not 0 <= height.numerator <= height.denominator:
             raise ParseError(f"height {height_text!r} in {text!r} outside [0, 1]")
-        return self.point(address, height)
+        return self._canonical(address, height)
+
+    def _canonical(self, address: Address, height: Fraction) -> Point:
+        """The point at a height already in [0, 1], with digit k flipped to 0 at an order-k level."""
+        level = classify_height(self.mseq, height)
+        if level is not None and address.digit(level.order) == 1:
+            address = address.switch(level.order)
+        return Point(address, height)
 
     # -- level queries ---------------------------------------------------
 

@@ -9,6 +9,7 @@ are never enumerated unless a caller explicitly iterates a range.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
@@ -19,11 +20,16 @@ from .numeric import ScaleFactor
 
 
 def _strip(value: int, factor: int) -> int:
-    """Remove from value every prime factor it shares with factor."""
+    """Remove from value every prime factor it shares with factor.
+
+    Every prime still shared divides the last divisor g, so the next one,
+    gcd(value, g * g), takes up to twice as many copies of each: a value
+    p**e loses all its copies of p in about log2(e) steps.
+    """
     g = gcd(value, factor)
     while g > 1:
         value //= g
-        g = gcd(value, factor)
+        g = gcd(value, g * g)
     return value
 
 
@@ -78,6 +84,13 @@ class MSequence:
         while len(self._m) < k:
             self._extend()
         return self._products[k]
+
+    def order_reaching(self, bound: int) -> int:
+        """The least k with D_k >= bound, extending the sequence no further than k."""
+        products = self._products
+        while products[-1] < bound:
+            self._extend()
+        return bisect_left(products, bound)
 
     def _prefers_n(self, top: int, bottom: int) -> bool:
         """Whether t**2 <= n(n+1), for t**root = top/bottom: n is as log-close to t as n+1."""
@@ -151,13 +164,15 @@ def classify_height(ms: MSequence, y) -> Optional[WormholeLevel]:
 
     A height is a level of order k exactly when y*D_k is an integer for the
     minimal such k (the minimality forces the non-multiple condition).  A
-    height whose reduced denominator no D_k is a multiple of is rejected
-    before the search.
+    height whose reduced denominator q no D_k is a multiple of is rejected
+    before the search, and the search starts at the least k with D_k >= q,
+    the first order whose product q can divide.
     """
-    y = Fraction(y)
-    if not 0 < y < 1:
+    if not isinstance(y, Fraction):
+        y = Fraction(y)
+    numerator, q = y.numerator, y.denominator
+    if not 0 < numerator < q:
         return None
-    q = y.denominator
     n = ms.n
     if _strip(q, n * (n + 1)) != 1:
         return None
@@ -170,12 +185,12 @@ def classify_height(ms: MSequence, y) -> Optional[WormholeLevel]:
     # The search ends: at an integer scale by the test above, and at a
     # non-integer scale because the sandwich bound forces both n and n+1 to
     # recur, so every prime power of n(n+1) eventually divides D_k.
-    k = 0
+    k = ms.order_reaching(q)
     while True:
-        k += 1
         den = ms.D(k)
         if den % q == 0:
-            return WormholeLevel(k, y.numerator * (den // q), den)
+            return WormholeLevel(k, numerator * (den // q), den)
+        k += 1
 
 
 def snap(ms: MSequence, k: int, y, up: bool) -> Optional[WormholeLevel]:

@@ -235,6 +235,39 @@ def preimages(space: Space, p: Point) -> tuple[tuple[Address, Fraction], ...]:
     return ((p.address, p.height), (p.address.switch(level.order), p.height))
 
 
+def interval_add(a, b):
+    """a + b, where either may be an ``Interval``; an Interval when either is one.
+
+    Outward-exact: the endpoints are Fractions, so the sum adds no rounding
+    and all of its width comes from the operands.  The library builds
+    intervals from their ends only; this arithmetic serves the tests.
+    """
+    if not isinstance(a, Interval) and not isinstance(b, Interval):
+        return a + b
+    (a_lo, a_hi), (b_lo, b_hi) = (_ends(v) for v in (a, b))
+    return Interval(a_lo + b_lo, a_hi + b_hi)
+
+
+def interval_sub(a, b):
+    """a - b, where either may be an ``Interval``, as for ``interval_add``."""
+    return interval_add(a, Interval(-b.hi, -b.lo) if isinstance(b, Interval) else -b)
+
+
+def interval_abs(a):
+    """The least interval holding |v| for every v in a, or |a| for an exact a."""
+    if not isinstance(a, Interval):
+        return abs(a)
+    if a.lo >= 0:
+        return a
+    if a.hi <= 0:
+        return Interval(-a.hi, -a.lo)
+    return Interval(Fraction(0), max(-a.lo, a.hi))
+
+
+def _ends(value):
+    return (value.lo, value.hi) if isinstance(value, Interval) else (value, value)
+
+
 def stepwise_length(path):
     """path_length as a running Fraction (or Interval) sum, one move at a time.
 
@@ -242,14 +275,17 @@ def stepwise_length(path):
     heights and the tail's limit), so it is independent of the units the
     path holds its heights in.
     """
+    def step(total, frm, to):
+        return interval_add(total, interval_abs(interval_sub(to, frm)))
+
     total, current = Fraction(0), path.start.height
     for move in path.items + ((path.tail.omega,) if path.tail else ()) + path.post:
         if isinstance(move, Segment):
-            total += abs(move.h_start - current) + abs(move.h_end - move.h_start)
+            total = step(step(total, current, move.h_start), move.h_start, move.h_end)
             current = move.h_end
         else:
             height = move.height if isinstance(move, Jump) else move
-            total += abs(height - current)
+            total = step(total, current, height)
             current = height
-    total += abs(path.end.height - current)
+    total = step(total, current, path.end.height)
     return total.lo if isinstance(total, Interval) and total.lo == total.hi else total

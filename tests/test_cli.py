@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
-from laakso import InvariantViolation
+from laakso import InvariantViolation, Space, distance
 from laakso.cli import main
 from laakso.numeric import MAX_SCALE_LOG2
 
@@ -399,11 +399,52 @@ class TestMatrix:
             for j in range(6):
                 assert table[i][j] == table[j][i]
 
+    def test_each_unordered_pair_is_computed_once(self, runner, monkeypatch):
+        import laakso.cli
+
+        calls = []
+
+        def counted(space, a, b):
+            calls.append((a, b))
+            return distance(space, a, b)
+
+        monkeypatch.setattr(laakso.cli, "distance", counted)
+        for count in (0, 1, 2, 9):
+            calls.clear()
+            payload = json.loads(invoke(runner, "-s", "3", "matrix", "--count", str(count)).output)
+            assert len(calls) == len(set(calls)) == count * (count - 1) // 2
+            assert len(payload["matrix"]) == count
+
+    @pytest.mark.parametrize("option", [("-s", "3"), ("-q", "13/10")], ids="".join)
+    def test_table_equals_the_full_table(self, runner, option):
+        payload = json.loads(invoke(runner, *option, "matrix", "--count", "24").output)
+        space = Space.from_ratio(3) if option[0] == "-s" else Space.from_dimension(Fraction(13, 10))
+        points = [space.parse_point(text) for text in payload["points"]]
+        assert payload["matrix"] == [[str(distance(space, a, b)) for b in points] for a in points]
+
     def test_matrix_literals_reparse(self, runner):
         payload = json.loads(invoke(runner, "-s", "3", "matrix", "--count", "4").output)
         for text in payload["points"]:
             check = json.loads(invoke(runner, "-s", "3", "distance", text, text).output)
             assert check["distance"] == "0"
+
+
+class TestImports:
+    @pytest.mark.parametrize("args, loaded", [
+        (("distance", "(0)@1/5", "101(0)@1/10"), []),
+        (("geodesic", "(0)@1/5", "101(0)@1/10", "--svg", "{svg}"), ["laakso.render"]),
+        (("oracle-check", "--depth", "1", "--samples", "2"), ["laakso.oracle"]),
+    ], ids=["distance", "geodesic-svg", "oracle-check"])
+    def test_a_command_imports_only_what_it_uses(self, tmp_path, args, loaded):
+        args = [a.format(svg=tmp_path / "path.svg") for a in ("-s", "3", *args)]
+        probe = ("import sys\nfrom laakso.cli import main\n"
+                 f"main({args!r}, standalone_mode=False)\n"
+                 "print(*sorted(m for m in sys.modules if m in ('laakso.oracle', 'laakso.render')))")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                                env=env, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1].split() == loaded
 
 
 class TestOracleCommands:

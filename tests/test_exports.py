@@ -6,7 +6,7 @@ than ``__init__.py`` loads it outside its own top-level definition, or when
 function the benchmark wraps by name counts).  A helper, a top-level
 function or class that is not exported (private or not), passes on the
 same terms, except that a load in its own module or an attribute load
-(``oracle_mod.iter_edges``) counts too.  A decorated function is skipped:
+(``oracle.iter_edges``) counts too.  A decorated function is skipped:
 its decorator registers it (the CLI commands).  A method or a property
 defined in a class body passes when a module of ``src/laakso`` reads its
 name as an attribute, or when ``bench/`` names it; dunder methods are

@@ -77,6 +77,30 @@ class TestCanonicalForm:
         assert a.prefix == () and a.cycle == (0,) * 7999 + (1,)
         assert best < 0.02
 
+    @pytest.mark.parametrize("prefix, cycle", [((), (1, 2)), ((0, 1), (0, 0, 2, 1)), ((0, 2, 1), (1,))])
+    def test_a_digit_2_is_rejected_in_either_part(self, prefix, cycle):
+        with pytest.raises(ValueError, match="digits must be 0 or 1"):
+            Address(prefix, cycle)
+
+    def test_least_rotation_matches_brute_force(self):
+        def reference(prefix, cycle):
+            m = next(p for p in range(1, len(cycle) + 1)
+                     if len(cycle) % p == 0 and cycle == cycle[p:] + cycle[:p])
+            base = cycle[:m]
+            j = min(range(m), key=lambda t: base[t:] + base[:t])  # first least rotation
+            pre, cyc = prefix + base[:j], base[j:] + base[:j]
+            while pre[-m:] == cyc:
+                pre = pre[:-m]
+            return pre, cyc
+
+        rng = random.Random(29)
+        for _ in range(2000):
+            prefix = tuple(rng.getrandbits(1) for _ in range(rng.randint(0, 8)))
+            unit = tuple(rng.getrandbits(1) for _ in range(rng.randint(1, 6)))
+            cycle = unit * rng.randint(1, 3)
+            a = Address(prefix, cycle)
+            assert (a.prefix, a.cycle) == reference(prefix, cycle), (prefix, cycle)
+
     def test_idempotent(self):
         rng = random.Random(1)
         for _ in range(300):

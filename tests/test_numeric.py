@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from conftest import interval_abs, interval_add, interval_sub
 
 from laakso import Interval, ResourceLimit, ScaleFactor, iroot
 from laakso.numeric import MAX_SCALE_LOG2
@@ -173,8 +174,9 @@ class TestInterval:
             b = Interval(Fraction(rng.randint(1, 60), 11), Fraction(rng.randint(61, 200), 11))
             sample_a = a.lo + (a.hi - a.lo) * Fraction(rng.randint(0, 8), 8)
             sample_b = b.lo + (b.hi - b.lo) * Fraction(rng.randint(0, 8), 8)
-            assert (a + b).contains(sample_a + sample_b)
-            assert (a - b).contains(sample_a - sample_b)
+            assert interval_add(a, b).contains(sample_a + sample_b)
+            assert interval_sub(a, b).contains(sample_a - sample_b)
+            assert interval_abs(interval_sub(a, b)).contains(abs(sample_a - sample_b))
 
     def test_bad_endpoints(self):
         with pytest.raises(ValueError):

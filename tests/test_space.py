@@ -119,3 +119,24 @@ class TestPointLiterals:
     def test_rejects(self, s3, bad):
         with pytest.raises(ParseError):
             s3.parse_point(bad)
+
+    @pytest.mark.parametrize("text, message", [
+        ("(0)@-1/2", "height '-1/2' in '(0)@-1/2' outside [0, 1]"),
+        ("(0)@3/2", "height '3/2' in '(0)@3/2' outside [0, 1]"),
+        ("(0)@1/x", "bad height '1/x' in '(0)@1/x'"),
+        ("(0)@1/0", "bad height '1/0' in '(0)@1/0'"),
+    ])
+    def test_height_messages(self, s3, text, message):
+        with pytest.raises(ParseError) as info:
+            s3.parse_point(text)
+        assert str(info.value) == message
+
+    def test_point_takes_int_str_and_fraction_heights(self, s3):
+        one = parse_address("1(0)")
+        assert s3.point(one, 1) == s3.point(one, "1") == s3.point(one, Fraction(1))
+        third = s3.point(one, "1/3")
+        assert third == s3.point(one, Fraction(1, 3)) == s3.parse_point("1(0)@1/3")
+        assert third.address == ZERO  # flipped at the order-1 level
+        for bad in (2, "-1/3", Fraction(4, 3)):
+            with pytest.raises(ParseError, match=r"height outside \[0, 1\]"):
+                s3.point(one, bad)

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from laakso import (
     InfeasibleSequence,
+    WormholeLevel,
     MSequence,
     ScaleFactor,
     classify_height,
@@ -21,6 +22,7 @@ from laakso import (
     nearest,
     snap,
 )
+from laakso.wormhole import _strip
 from conftest import level_digits, omega_value, reference_entries, sandwich_holds
 
 # the order-2 and order-3 tables for the middle-thirds construction
@@ -251,6 +253,88 @@ class TestClassify:
         assert level is not None and level.order == 1
         # 8 = 2**3 never divides 4 * 3**k
         assert classify_height(ms, Fraction(1, 8)) is None
+
+
+#: (scale, override) of the sequences the fast paths are checked on.
+SEARCH_SPACES = [("3", ()), ("7/2", ()), ("11/2", ()), ("Q=13/10", ()), ("3", (4, 3, 3))]
+
+
+def search_sequence(scale: str, override=()) -> MSequence:
+    factor = (ScaleFactor.from_dimension(Fraction(scale[2:])) if scale.startswith("Q=")
+              else ScaleFactor.from_ratio(Fraction(scale)))
+    return MSequence(factor, override)
+
+
+def reference_classify(products: list[int], y):
+    """The level of y by the plain search k = 1, 2, ... over the products D_k; None past them.
+
+    The least k with y * D_k an integer is the order: the inputs are levels
+    of orders below ``len(products)``, or heights that are no level at all.
+    """
+    y = Fraction(y)
+    if not 0 < y < 1:
+        return None
+    for k, den in enumerate(products[1:], start=1):
+        if den % y.denominator == 0:
+            return WormholeLevel(k, y.numerator * den // y.denominator, den)
+    return None
+
+
+class TestFastPaths:
+    """The search start, the strip and the digit handling against plain loops."""
+
+    @pytest.mark.parametrize("scale, override", SEARCH_SPACES, ids=str)
+    def test_classify_matches_the_search_from_order_one(self, scale, override):
+        ms = search_sequence(scale, override)
+        products = [ms.D(k) for k in range(241)]
+        rng = random.Random(f"classify/{scale}/{override}")
+        ys = [0, 1, Fraction(0), Fraction(1)]
+        for k in range(1, 7):  # every level of orders 1-6, sampled past 30 000 per order
+            den = products[k]
+            ys += (Fraction(j, den) for j in
+                   (range(den + 1) if den <= 30_000 else rng.sample(range(den + 1), 3_000)))
+        for _ in range(200):  # deep levels
+            k = rng.randint(40, 120)
+            ys.append(Fraction(rng.randint(1, products[k] - 1), products[k]))
+        ys += (Fraction(j, 97) for j in range(98))
+        ys += (Fraction(2 * rng.randrange(1 << (m - 1)) + 1, 1 << m) for m in range(1, 61))
+        for y in ys:
+            want = reference_classify(products, y)
+            got = classify_height(ms, y)
+            assert got == want and (got is None or got.denominator == want.denominator), y
+
+    @pytest.mark.parametrize("factor", [2, 6, 12, 30, 110, 2 * 3 * 5 * 7 * 11 * 13])
+    def test_strip_matches_one_copy_per_step(self, factor):
+        def reference(value):
+            g = gcd(value, factor)
+            while g > 1:
+                value //= g
+                g = gcd(value, factor)
+            return value
+
+        rng = random.Random(factor)
+        primes = [p for p in range(2, factor + 1) if factor % p == 0 and all(p % d for d in range(2, p))]
+        for _ in range(500):
+            shared = 1
+            for p in primes:
+                shared *= p ** rng.randint(0, 60)
+            for value in (rng.randint(1, factor ** 60), shared, shared * rng.randint(1, 10 ** 6)):
+                assert _strip(value, factor) == reference(value)
+
+    @pytest.mark.parametrize("scale, override", SEARCH_SPACES, ids=str)
+    def test_order_reaching_matches_a_scan(self, scale, override):
+        scan = search_sequence(scale, override)
+        products = [scan.D(k) for k in range(151)]
+        rng = random.Random(f"reach/{scale}/{override}")
+        bounds = [0, 1, 2] + [products[k] + d for k in range(1, 150) for d in (-1, 0, 1)]
+        bounds += [rng.randint(1, products[150]) for _ in range(200)]
+        for bound in bounds:
+            want = next(k for k, den in enumerate(products) if den >= bound)
+            fresh = search_sequence(scale, override)
+            assert fresh.order_reaching(bound) == want
+            # extended no further than the order it returns (or the override)
+            assert len(fresh._products) - 1 == max(want, len(override))
+            assert scan.order_reaching(bound) == want
 
 
 class TestDisjointAndDense:
