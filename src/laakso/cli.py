@@ -11,16 +11,17 @@ internal invariant.
 from __future__ import annotations
 
 import functools
-import json
 import random
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import click
 
+from . import geodesic
 from .errors import InfeasibleSequence, InvariantViolation, ParseError, ResourceLimit
 from .fractal import Address, format_address
-from .geodesic import PathRep, classify, connect, distance, geodesic_path, minimal_interval, path_length
+from .geodesic import MinimalInterval, PathRep, classify, connect, distance, geodesic_path, path_length
 from .numeric import Interval
 from .space import Space
 
@@ -32,17 +33,44 @@ def _fraction(text: str) -> Fraction:
         raise ParseError(f"bad fraction {text!r}") from None
 
 
+def _too_long(what: str) -> ResourceLimit:
+    limit = sys.get_int_max_str_digits()
+    return ResourceLimit(f"{what} has more than {limit} digits: over the int-to-str limit")
+
+
 def _text(value, what: str = "a number to print") -> str:
     """str(value), or ResourceLimit when it passes Python's int-to-str digit limit."""
     try:
         return str(value)
     except ValueError:  # raised only past the limit
-        limit = sys.get_int_max_str_digits()
-        raise ResourceLimit(f"{what} has more than {limit} digits: over the int-to-str limit") from None
+        raise _too_long(what) from None
+
+
+def _json(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2), byte for byte, over str, int, None, list and dict.
+
+    Any other leaf (a Fraction, a float) raises TypeError, as do keys other than str.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, list):
+        items = [_json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    if isinstance(value, dict):
+        items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _emit(payload) -> None:
-    click.echo(json.dumps(payload, indent=2))
+    click.echo(_json(payload))
 
 
 def _value_json(v):
@@ -51,8 +79,7 @@ def _value_json(v):
     return _text(v)
 
 
-def _distance_json(space: Space, x, y) -> dict:
-    interval = minimal_interval(space, x, y)
+def _distance_json(interval: MinimalInterval, x, y) -> dict:
     return {
         "distance": _text(interval.length_between(x, y)),
         "interval": {"a": _text(interval.a), "b": _text(interval.b)},
@@ -61,6 +88,15 @@ def _distance_json(space: Space, x, y) -> dict:
 
 def _path_json(path: PathRep):
     label, kinds = classify(path)
+    texts: dict = {}  # a level ends a segment, is its jump's height and starts the next one
+
+    def height(h) -> str:
+        key = (h.numerator, h.denominator)
+        text = texts.get(key)
+        if text is None:
+            text = texts[key] = _text(Fraction(*key))
+        return text
+
     limit = None
     if path.tail is not None:
         limit = {
@@ -74,13 +110,13 @@ def _path_json(path: PathRep):
         "segments": [
             {
                 "address": format_address(s.address),
-                "from": _text(s.h_start),
-                "to": _text(s.h_end),
+                "from": height(s.start),
+                "to": height(s.end),
             }
             for s in path.segments()
         ],
         "jumps": [
-            {"order": j.level.order, "height": _text(j.level.value), "kind": kind}
+            {"order": j.level.order, "height": height(j.level), "kind": kind}
             for j, kind in zip(path.jumps(), kinds)
         ],
         "limit": limit,
@@ -143,12 +179,19 @@ def main(ctx, s, q, m_override, seed):
 def space_info(cfg, entries):
     """Print n, the first branching entries and their product."""
     sp = cfg.space
+    # n and every m_i are no longer than a rational scale (MAX_SCALE_LOG2 bounds 2^(a/b))
+    scale = _text(sp.scale)
+    dimension = _text(sp.dimension) if sp.dimension is not None else None
+    # D_k >= n**k, so a product of n**k too long to print is refused before it is built;
+    # n**k itself is formed only when it has fewer than 8 * limit bits
+    limit, n = sys.get_int_max_str_digits(), sp.n
+    if limit and (entries * (n.bit_length() - 1) >= 4 * limit or n ** entries >= 10 ** limit):
+        raise _too_long(f"D_{entries}")
     _emit(
         {
-            # n and every m_i are no longer than a rational scale (MAX_SCALE_LOG2 bounds 2^(a/b))
-            "scale": _text(sp.scale),
-            "dimension": _text(sp.dimension) if sp.dimension is not None else None,
-            "n": sp.n,
+            "scale": scale,
+            "dimension": dimension,
+            "n": n,
             "m": [sp.mseq.entry(i) for i in range(1, entries + 1)],
             "D": _text(sp.mseq.D(entries), f"D_{entries}"),
         }
@@ -177,7 +220,7 @@ def distance_cmd(cfg, x, y):
     if px == py:
         _emit({"distance": "0", "interval": None})
         return
-    _emit(_distance_json(sp, px, py))
+    _emit(_distance_json(geodesic.minimal_interval(sp, px, py), px, py))
 
 
 @main.command("geodesic")
@@ -193,7 +236,9 @@ def geodesic_cmd(cfg, x, y, depth, svg_out):
     if px == py:
         _emit({"distance": "0", "interval": None, "path": None})
         return
-    path = geodesic_path(sp, px, py, depth)
+    # looked up at call time, so a patched or traced minimal_interval sees the one call
+    interval = geodesic.minimal_interval(sp, px, py)
+    path = geodesic_path(sp, px, py, depth, interval)
     if svg_out:
         from . import render
 
@@ -202,7 +247,7 @@ def geodesic_cmd(cfg, x, y, depth, svg_out):
                 handle.write(render.path_svg(sp, path))
         except OSError as exc:
             raise ParseError(f"cannot write {svg_out!r}: {exc.strerror}") from None
-    _emit({**_distance_json(sp, px, py), "path": _path_json(path)})
+    _emit({**_distance_json(interval, px, py), "path": _path_json(path)})
 
 
 @main.command("path")

@@ -183,8 +183,9 @@ def value(a: Address, scale: ScaleFactor, bits: int = 64) -> Union[Fraction, Int
 
 _ADDRESS_RE = re.compile(r"^([01]*)(?:\(([01]+)\))?$")
 
-#: The ASCII digits "0" and "1" to the byte values 0 and 1.
+#: The ASCII digits "0" and "1" to the byte values 0 and 1, and back.
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+_DIGIT_TEXT = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def parse_address(text: str) -> Address:
@@ -209,4 +210,6 @@ def parse_address(text: str) -> Address:
 
 
 def format_address(a: Address) -> str:
-    return "%s(%s)" % ("".join(map(str, a.prefix)), "".join(map(str, a.cycle)))
+    """The literal ``parse_address`` reads back, e.g. ``"101(0)"``."""
+    return "%s(%s)" % (bytes(a.prefix).translate(_DIGIT_TEXT).decode(),
+                       bytes(a.cycle).translate(_DIGIT_TEXT).decode())

@@ -11,9 +11,10 @@ Every height is an exact rational read through ``numerator`` and
 ``denominator``: an endpoint's ``Fraction``, a level or an exact limit.
 Segments hold the heights they join, builders compare heights by
 cross-multiplication, and the closed form below compares its widths over
-one common unit, so a ``Fraction`` is built only on output
-(``Segment.h_start``, a level's value, an interval's ends, a distance, a
-path's length, an exact limit).
+one common unit, so a ``Fraction`` is built only on output: an
+interval's ends, a distance, a path's length, an exact limit, and for a
+printed path one per distinct height (a level ends a segment, is its
+jump's height and starts the next segment, and is printed once).
 
 The distance between two points is 2(b-a) - |h(y)-h(x)| for the minimal
 height interval [a, b]: the shortest interval containing both endpoint
@@ -405,7 +406,8 @@ def _resting(point: Point) -> PathRep:
     return PathRep(point, point, (Segment(point.address, point.height, point.height),))
 
 
-def geodesic_path(space: Space, x: Point, y: Point, depth: int = 8) -> PathRep:
+def geodesic_path(space: Space, x: Point, y: Point, depth: int = 8,
+                  interval: Optional[MinimalInterval] = None) -> PathRep:
     """A shortest path realizing the minimal interval.
 
     Built from the lower endpoint: descend to a, sweep monotonically up to
@@ -414,13 +416,18 @@ def geodesic_path(space: Space, x: Point, y: Point, depth: int = 8) -> PathRep:
     is an anchor, so the sweep's first or last level.  The result makes at
     most two inversions and its length equals the distance exactly
     whenever the limit height is exact (always so for an integer scale).
+    ``interval``, if given, is ``minimal_interval(space, x, y)``, found by
+    the caller; it is not found again.
     """
     if x == y:
         return _resting(x)
     low, high = (x, y) if x.height <= y.height else (y, x)
     diffs = difference_orders(low.address, high.address)
     orders = iter(diffs)  # one scan: the interval takes two orders, the sweep the rest
-    interval = minimal_interval(space, low, high, orders)
+    if interval is None:
+        interval = minimal_interval(space, low, high, orders)
+    else:  # the orders the interval took, one per witness
+        orders = islice(orders, len(interval.witnesses), None)
     a, b = interval.a, interval.b
     at_a = [w for _, w in interval.witnesses if a < low.height and _cmp(w, a) == 0]
     at_b = [w for _, w in interval.witnesses if b > high.height and _cmp(w, b) == 0]

@@ -9,8 +9,10 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
-from laakso import InvariantViolation, Space, distance
-from laakso.cli import main
+from hypothesis import given, settings, strategies as st
+
+from laakso import InvariantViolation, Space, distance, geodesic_path
+from laakso.cli import _json, main
 from laakso.numeric import MAX_SCALE_LOG2
 
 
@@ -201,6 +203,23 @@ class TestSpaceInfo:
         assert result.exit_code == 3
         assert "D_1500 has more than" in result.output
 
+    @pytest.mark.parametrize("entries", ["9013", "100000", "10" * 40])
+    def test_product_is_refused_before_the_sequence_is_built(self, runner, entries):
+        # D_k = 3**k at s = 3: 3**9012 has 4300 digits, 3**9013 one more
+        started = time.monotonic()
+        result = invoke(runner, "-s", "3", "space-info", "--entries", entries)
+        assert time.monotonic() - started < 1.0
+        assert result.exit_code == 3
+        limit = sys.get_int_max_str_digits()
+        assert result.output == (
+            f"error: D_{entries} has more than {limit} digits: over the int-to-str limit\n"
+        )
+
+    def test_product_at_the_digit_limit_prints(self, runner):
+        result = invoke(runner, "-s", "3", "space-info", "--entries", "9012")
+        assert result.exit_code == 0
+        assert json.loads(result.output)["D"] == str(3 ** 9012)
+
     def test_product_below_the_digit_limit_prints(self, runner):
         result = invoke(runner, "-s", "1024", "space-info", "--entries", "1400")
         assert result.exit_code == 0
@@ -299,6 +318,17 @@ class TestDistance:
         assert "10a(0)" in result.output
 
 
+ONE_INTERVAL_PAIRS = [
+    (("-s", "3"), "(0)@1/5", "101(0)@1/10"),  # the worked pair
+    (("-s", "3"), "(0)@0", "(1)@1"),  # an exact tail
+    (("-q", "13/10"), "(0)@0", "(1)@1"),  # a certified tail
+    (("-s", "7/2"), "1(0)@149/729", "001111111110(1)@2/729"),  # a witness anchors the top
+    (("-s", "3"), "(0)@13/50", "(1)@13/50"),  # a coarse jump after the tail
+    (("-s", "3"), "1(0)@1/3", "0(0)@2/9"),  # one order, from a level
+    (("-s", "3"), "(0)@1/5", "(0)@1/2"),  # no order: one vertical run
+]
+
+
 class TestGeodesicAndPath:
     def test_geodesic_payload_and_svg(self, runner, tmp_path):
         svg = tmp_path / "figure.svg"
@@ -362,6 +392,36 @@ class TestGeodesicAndPath:
             assert code == 3 and message in stderr, stderr
             best = min(best, seconds)
         assert best < 1
+
+    @pytest.mark.parametrize("options", [("--depth", "8"), ("--depth", "32"), ("--svg", "{svg}")],
+                             ids=["depth-8", "depth-32", "svg"])
+    def test_one_minimal_interval_per_command(self, runner, monkeypatch, tmp_path, options):
+        import laakso.geodesic
+
+        found = laakso.geodesic.minimal_interval
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return found(*args)
+
+        monkeypatch.setattr("laakso.geodesic.minimal_interval", counted)
+        options = [option.format(svg=tmp_path / "path.svg") for option in options]
+        depth = int(options[1]) if options[0] == "--depth" else 8
+        for space_args, x, y in ONE_INTERVAL_PAIRS:
+            for a, b in ((x, y), (y, x)):
+                calls.clear()
+                result = invoke(runner, *space_args, "geodesic", a, b, *options)
+                assert result.exit_code == 0
+                assert len(calls) == 1, (space_args, a, b)
+                # the four-argument call finds its own interval, and builds the same path
+                flag, value = space_args
+                space = (Space.from_ratio if flag == "-s" else Space.from_dimension)(Fraction(value))
+                px, py = space.parse_point(a), space.parse_point(b)
+                calls.clear()
+                path = geodesic_path(space, px, py, depth)
+                assert len(calls) == 1
+                assert path == geodesic_path(space, px, py, depth, found(space, px, py))
 
     def test_path_strategies_differ_on_worked_pair(self, runner):
         nearest = json.loads(
@@ -427,6 +487,78 @@ class TestMatrix:
         for text in payload["points"]:
             check = json.loads(invoke(runner, "-s", "3", "distance", text, text).output)
             assert check["distance"] == "0"
+
+
+JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=30,
+)
+
+
+class TestJsonEmitter:
+    """``_json`` prints what ``json.dumps(..., indent=2)`` prints, byte for byte."""
+
+    COMMANDS = [
+        ("-s", "3", "space-info"),
+        ("-q", "13/10", "space-info", "--entries", "0"),
+        ("-s", "3", "wormholes", "--order", "1", "--from", "1/10", "--to", "1/5"),  # []
+        ("-s", "3", "wormholes", "--order", "2"),
+        ("-s", "3", "matrix", "--count", "0"),
+        ("-s", "3", "matrix", "--count", "3"),
+        ("-s", "3", "oracle-check", "--depth", "1", "--samples", "3"),
+        ("-s", "3", "distance", "(0)@1/5", "101(0)@1/10"),
+        ("-s", "3", "distance", "(0)@1/5", "(0)@1/5"),
+        ("-s", "3", "geodesic", "(0)@1/5", "(0)@1/5"),  # "path": null
+        ("-s", "3", "geodesic", "(0)@1/5", "101(0)@1/10"),
+        ("-q", "13/10", "geodesic", "(0)@0", "(1)@1"),  # an omega_bar enclosure
+        ("-s", "7/2", "path", "0111(001)@46/97", "10000000(1)@11/24"),
+        ("-s", "3", "path", "(0)@0", "(1)@1", "--strategy", "increasing"),
+    ]
+
+    def test_every_command_is_covered(self):
+        covered = {args[2] for args in self.COMMANDS} | {"oracle-export"}  # edge lines, no JSON
+        assert covered == set(main.commands)
+
+    @pytest.mark.parametrize("args", COMMANDS, ids=" ".join)
+    def test_command_payloads(self, runner, monkeypatch, args):
+        import laakso.cli
+
+        payloads = []
+        emit = laakso.cli._emit
+
+        def recorded(payload):
+            payloads.append(payload)
+            emit(payload)
+
+        monkeypatch.setattr(laakso.cli, "_emit", recorded)
+        result = invoke(runner, *args)
+        assert result.exit_code == 0
+        [payload] = payloads
+        assert result.output == json.dumps(payload, indent=2) + "\n"
+        assert _json(payload) == json.dumps(payload, indent=2)
+
+    def test_payload_shapes(self, runner):
+        """The cases above reach null, empty and nested lists, ints and an enclosure."""
+        outputs = {" ".join(args): json.loads(invoke(runner, *args).output) for args in self.COMMANDS}
+        assert outputs["-s 3 space-info"]["dimension"] is None
+        assert outputs["-s 3 wormholes --order 1 --from 1/10 --to 1/5"] == []
+        assert outputs["-s 3 matrix --count 0"] == {"points": [], "matrix": []}
+        assert len(outputs["-s 3 matrix --count 3"]["matrix"]) == 3
+        assert outputs["-s 3 oracle-check --depth 1 --samples 3"]["depth"] == 1
+        assert outputs["-s 3 geodesic (0)@1/5 (0)@1/5"]["path"] is None
+        assert set(outputs["-q 13/10 geodesic (0)@0 (1)@1"]["path"]["limit"]["omega_bar"]) == {"lo", "hi"}
+
+    @settings(max_examples=150, deadline=None)
+    @given(JSON_TREES)
+    def test_any_tree(self, tree):
+        assert _json(tree) == json.dumps(tree, indent=2)
+
+    @pytest.mark.parametrize("leaf", [Fraction(1, 2), 0.5, Fraction(2)], ids=repr)
+    def test_a_number_that_is_no_int_raises(self, leaf):
+        for payload in (leaf, [leaf], {"height": leaf}, {"path": {"jumps": [leaf]}}):
+            with pytest.raises(TypeError):
+                _json(payload)
 
 
 class TestImports:

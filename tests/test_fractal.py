@@ -342,6 +342,28 @@ class TestParsing:
             a = random_address(rng)
             assert parse_address(format_address(a)) == a
 
+    @staticmethod
+    def joined(a: Address) -> str:
+        """The digits joined one ``str`` at a time: the plain definition to match."""
+        return "%s(%s)" % ("".join(map(str, a.prefix)), "".join(map(str, a.cycle)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 1), max_size=500), st.lists(st.integers(0, 1), min_size=1, max_size=12))
+    def test_format_matches_the_joined_digits(self, prefix, cycle):
+        a = Address(tuple(prefix), tuple(cycle))
+        assert format_address(a) == self.joined(a) == str(a)
+        assert parse_address(format_address(a)) == a
+
+    def test_format_after_deep_switches(self):
+        rng = random.Random(22)
+        for _ in range(50):
+            a = random_address(rng, max_prefix=10, max_cycle=12)
+            for order in rng.sample(range(380, 420), 3):
+                a = a.switch(order)
+            assert len(a.prefix) >= 380
+            assert format_address(a) == self.joined(a)
+            assert parse_address(format_address(a)) == a
+
     @pytest.mark.parametrize("bad", ["", "()", "2(0)", "1(2)", "10(", "(01)x", "1 (0)"])
     def test_rejects(self, bad):
         with pytest.raises(ParseError):

@@ -532,6 +532,17 @@ class TestGeodesic:
             for p in vertices:
                 assert distance(space, x, p) + distance(space, p, y) == whole, (str(x), str(y), str(p))
 
+    @pytest.mark.parametrize("name", CLOSED_FORM_SPACES)
+    def test_a_given_interval_builds_the_same_path(self, request, name):
+        # the caller's interval of (x, y) serves either order of the ends,
+        # and the sweep skips exactly the orders the interval took
+        space = request.getfixturevalue(name)
+        for x, y in seeded_pairs(space, random.Random(50), 60):
+            interval = minimal_interval(space, x, y)
+            for a, b in ((x, y), (y, x)):
+                for depth in (1, 8):
+                    assert geodesic_path(space, a, b, depth, interval) == geodesic_path(space, a, b, depth)
+
     def test_jumps_are_valid_switches(self, s3):
         rng = random.Random(48)
         for _ in range(200):
