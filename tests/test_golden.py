@@ -5,7 +5,10 @@ seeded pairs on three spaces and on two spaces with a branching override,
 and hash the distance payload, the depth-8 geodesic and both connect
 strategies, serialised as the CLI serialises them.  Tail cases do the same
 for pairs with cycles up to 24 digits, half of them sharing an infinite
-tail behind different prefixes so that they differ at finitely many orders.  Sequence cases hash the
+tail behind different prefixes so that they differ at finitely many orders.  Deep cases do the
+same at depth 32 for pairs with short cycles and shallow heights, three in
+four of them differing at infinitely many orders, so that jumps reach orders
+near 400.  Sequence cases hash the
 printed scale, n and the first 200 branching entries of seeded scales and
 dimensions.  Run this file as a script to record ``golden_sha256.txt`` and
 ``golden_sequences_sha256.txt`` again after an intended change of output;
@@ -21,7 +24,8 @@ from pathlib import Path
 from click.testing import CliRunner
 
 from conftest import random_address, random_point
-from laakso import Address, Space, connect, distance, geodesic_path, minimal_interval, path_length
+from laakso import (Address, Space, connect, difference_orders, distance, geodesic_path,
+                    minimal_interval, path_length)
 from laakso.cli import _path_json, _value_json, main
 
 DATA = Path(__file__).with_name("golden_sha256.txt")
@@ -131,6 +135,36 @@ def _tail_cases():
             yield case, _digest(_pair_json(space, x, y))
 
 
+DEEP_SPACES = [("-s", "3"), ("-s", "7/2"), ("-q", "13/10")]
+DEEP_PAIRS = 60  # per space; one in four differs at finitely many orders
+DEEP_DEPTH = 32
+
+
+def _shallow_height(rng: random.Random, space: Space) -> Fraction:
+    """A grid height of order at most 6, or one that is no level (j/97)."""
+    den = space.mseq.D(rng.randint(1, 6)) if rng.getrandbits(1) else 97
+    return Fraction(rng.randint(0, den), den)
+
+
+def _deep_cases():
+    for seed, (flag, value) in enumerate(DEEP_SPACES):
+        build = Space.from_ratio if flag == "-s" else Space.from_dimension
+        space = build(Fraction(value))
+        rng = random.Random(9200 + seed)
+        for index in range(DEEP_PAIRS):
+            finite = index % 4 == 3
+            while True:
+                a, b = random_address(rng, 8, 4), random_address(rng, 8, 4)
+                if finite:
+                    b = Address(b.prefix, a.cycle)
+                x, y = (space.point(address, _shallow_height(rng, space)) for address in (a, b))
+                if x != y and difference_orders(x.address, y.address).is_finite == finite:
+                    break
+            case = (f"{flag} {value} deep pair {index}: distance, geodesic, path x2 "
+                    f"at depth {DEEP_DEPTH} {x} {y}")
+            yield case, _digest(_pair_json(space, x, y, (DEEP_DEPTH,)))
+
+
 def _sequence_spaces():
     """Rational scales in (2, 9], dimensions in (1, 2) and two overrides."""
     rng = random.Random(8100)
@@ -175,14 +209,14 @@ def test_sequences_match_recorded():
 
 def test_outputs_match_recorded():
     recorded = _recorded()
-    computed = dict([*_cli_cases(), *_random_cases(), *_tail_cases()])
+    computed = dict([*_cli_cases(), *_random_cases(), *_tail_cases(), *_deep_cases()])
     differ = [case for case, digest in computed.items() if recorded.get(case) != digest]
     assert not differ, f"{len(differ)} cases differ, first: " + "; ".join(differ[:5])
     assert set(recorded) == set(computed), "recorded cases no longer generated"
 
 
 if __name__ == "__main__":
-    for data, cases in ((DATA, [*_cli_cases(), *_random_cases(), *_tail_cases()]),
+    for data, cases in ((DATA, [*_cli_cases(), *_random_cases(), *_tail_cases(), *_deep_cases()]),
                         (SEQUENCE_DATA, list(_sequence_cases()))):
         recorded = _recorded(data)
         differ = [case for case, digest in cases if recorded.get(case) != digest]
