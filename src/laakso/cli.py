@@ -276,9 +276,12 @@ def matrix(cfg, count, prefix_len):
     points = []
     seen = set()
     attempts = 0
+    # the draws come from 2**prefix_len addresses times grid + 1 heights: a
+    # count over that is refused before the first draw
+    budget = 200 * count if count <= (grid + 1) << prefix_len else 0
     while len(points) < count:
         attempts += 1
-        if attempts > 200 * count:
+        if attempts > budget:
             raise click.UsageError(
                 f"cannot sample {count} distinct points with prefix length {prefix_len}"
             )

@@ -73,12 +73,18 @@ class Address:
         if n < 1:
             raise ValueError("digit positions start at 1")
         pre, cyc = self.prefix, self.cycle
-        if n > len(pre):
-            reps = -(-(n - len(pre)) // len(cyc))
-            pre = pre + cyc * reps
-        flipped = pre[: n - 1] + (1 - pre[n - 1],) + pre[n:]
-        # the cycle is unchanged and so still canonical: skip to the absorption
-        return object.__new__(Address)._store(flipped, cyc)
+        past = n - len(pre)
+        digits = list(pre)
+        if past > 0:  # n lies in the last of the appended copies of the cycle
+            digits += cyc * -(-past // len(cyc))
+        digits[n - 1] ^= 1
+        switched = object.__new__(Address)  # the cycle is unchanged and so still canonical
+        if past <= 0:  # the flip may leave whole copies of the cycle at the end
+            return switched._store(tuple(digits), cyc)
+        # the last copy now differs from the cycle: nothing to absorb
+        object.__setattr__(switched, "prefix", tuple(digits))
+        object.__setattr__(switched, "cycle", cyc)
+        return switched
 
     def __str__(self):
         return format_address(self)

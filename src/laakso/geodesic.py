@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import chain, islice
 from math import lcm
 from operator import sub
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import InvariantViolation, ResourceLimit
 from .fractal import Address, DifferenceOrders, difference_orders
@@ -39,6 +39,7 @@ from .space import Point, Space
 from .wormhole import (
     MSequence,
     WormholeLevel,
+    bracket,
     classify_height,
     first_in_interval,
     last_in_interval,
@@ -59,12 +60,12 @@ def _cmp(a, b) -> int:
     return (left > right) - (left < right)
 
 
-@dataclass(frozen=True, eq=False)
-class Segment:
+class Segment(NamedTuple):
     """A vertical run at a fixed address, from height start to height end.
 
     The heights are exact: Fractions, ints or levels.  Equality and hashing
-    follow their values, whatever type holds them.
+    follow their values, whatever type holds them; a segment equals no
+    other record and no plain tuple.
     """
 
     address: Address
@@ -84,18 +85,18 @@ class Segment:
         return _cmp(self.end, self.start)
 
     def __eq__(self, other):
-        if not isinstance(other, Segment):
-            return NotImplemented
-        return (self.address == other.address and _cmp(self.start, other.start) == 0
-                and _cmp(self.end, other.end) == 0)
+        return (other.__class__ is Segment and self.address == other.address
+                and _cmp(self.start, other.start) == 0 and _cmp(self.end, other.end) == 0)
+
+    def __ne__(self, other):  # tuple's own would compare every field
+        return not self == other
 
     def __hash__(self):
         return hash((self.address, self.h_start, self.h_end))
 
 
-@dataclass(frozen=True)
-class Jump:
-    """A zero-length passage through an identification level."""
+class Jump(NamedTuple):
+    """A zero-length passage through an identification level; it equals no plain tuple."""
 
     level: WormholeLevel
     from_address: Address
@@ -104,6 +105,14 @@ class Jump:
     @property
     def height(self) -> Fraction:
         return self.level.value
+
+    def __eq__(self, other):
+        return other.__class__ is Jump and tuple.__eq__(self, other)
+
+    def __ne__(self, other):  # tuple's own would compare every field
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
 
 @dataclass(frozen=True)
@@ -198,27 +207,29 @@ def minimal_interval(space: Space, x: Point, y: Point, orders=None) -> MinimalIn
     ms = space.mseq
     required = list(islice(orders or iter(difference_orders(x.address, y.address)), 2))
     lo, hi = (x.height, y.height) if x.height <= y.height else (y.height, x.height)
-    candidates: list[tuple] = [(lo, hi, ())]  # heights: Fractions or levels
+    # a candidate: its bounds as numerators over their denominators, and a
+    # witness per order as the level's (order, numerator, D_order)
+    candidates: list[tuple] = [(lo.numerator, lo.denominator, hi.numerator, hi.denominator, ())]
     for order in required:
+        den, m_k = ms.grid(order)
         grown: list[tuple] = []
-        for a, b, witnesses in candidates:
-            above = snap(ms, order, a, up=True)  # the least level at or above a
-            if above is not None and _cmp(above, b) <= 0:
-                grown.append((a, b, witnesses + ((order, above),)))
+        for a, a_den, b, b_den, witnesses in candidates:
+            below, above = bracket(den, m_k, a, a_den)  # the levels at or below a and at or above it
+            if above < den and above * b_den <= b * den:  # inside [a, b]
+                grown.append((a, a_den, b, b_den, witnesses + ((order, above, den),)))
                 continue
-            below = snap(ms, order, a, up=False)
-            if below is not None:
-                grown.append((below, b, witnesses + ((order, below),)))
-            if above is not None:  # none inside [a, b], so the least above a lies above b
-                grown.append((a, above, witnesses + ((order, above),)))
+            if below > 0:
+                grown.append((below, den, b, b_den, witnesses + ((order, below, den),)))
+            if above < den:  # none inside [a, b], so the least above a lies above b
+                grown.append((a, a_den, above, den, witnesses + ((order, above, den),)))
         candidates = grown
     if not candidates:
         raise InvariantViolation("a required order had no level on either side")
     unit = lcm(lo.denominator, hi.denominator, ms.D(max(required, default=0)))
-    ends = [(a.numerator * (unit // a.denominator), b.numerator * (unit // b.denominator), w)
-            for a, b, w in candidates]  # over the unit, which every bound's denominator divides
+    ends = [(a * (unit // a_den), b * (unit // b_den), w)
+            for a, a_den, b, b_den, w in candidates]  # over the unit, which every bound's denominator divides
     low, high, witnesses = min(ends, key=lambda t: (t[1] - t[0], t[1]))
-    return MinimalInterval(low, high, unit, witnesses)
+    return MinimalInterval(low, high, unit, tuple((w[0], WormholeLevel(*w)) for w in witnesses))
 
 
 def distance(space: Space, x: Point, y: Point) -> Fraction:
@@ -371,7 +382,7 @@ def _route(start: Point, end: Point, address: Address, end_address: Address,
             address = address.switch(level.order)  # undo the post flips: limit address
         # past a certified enclosure the run up to the first post move stays
         # implicit; everything after it is exact
-        h = omega if isinstance(omega, Fraction) else None
+        h = None if isinstance(omega, Interval) else omega
         for level in post:
             address, h = _jump(moves, address, h, level)
     _append_segment(moves, address, h, end.height)
@@ -392,7 +403,7 @@ def _flip(move):
 def _assemble(start: Point, end: Point, moves: list) -> PathRep:
     """The PathRep of a move list: the moves before the limit, its Tail, the moves after it."""
     for split, move in enumerate(moves):
-        if isinstance(move, (Fraction, Interval)):
+        if not isinstance(move, (Segment, Jump)):  # the limit
             break
     else:
         return PathRep(start, end, tuple(moves))

@@ -10,10 +10,9 @@ are never enumerated unless a caller explicitly iterates a range.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import InfeasibleSequence
 from .numeric import ScaleFactor
@@ -72,10 +71,15 @@ class MSequence:
 
     def entry(self, i: int) -> int:
         """m_i (1-based)."""
-        if i < 1:
+        return self.grid(i)[1]
+
+    def grid(self, k: int) -> tuple[int, int]:
+        """(D_k, m_k): the denominator of the order-k levels and the multiples they skip."""
+        if k < 1:
             raise ValueError("entries are indexed from 1")
-        self.D(i)
-        return self._m[i - 1]
+        while len(self._m) < k:
+            self._extend()
+        return self._products[k], self._m[k - 1]
 
     def D(self, k: int) -> int:
         """Product of the first k entries; D(0) = 1."""
@@ -124,25 +128,37 @@ class MSequence:
         self._top, self._bottom = top, bottom
 
 
-@dataclass(frozen=True)
-class WormholeLevel:
+class WormholeLevel(NamedTuple):
     """A single identification height: numerator / denominator, denominator = D_order.
 
     The order and the numerator fix the level, and equality and hashing use
-    only them.  The numerator is never a multiple of m_order, which keeps
-    level sets of different orders disjoint.  Like a ``Fraction`` or an
-    ``int``, a level is a height read through ``numerator`` and
-    ``denominator`` (not reduced); its ``Fraction`` value is built on
-    each request.
+    only them; a level equals no other record and no plain tuple.  The
+    numerator is never a multiple of m_order, which keeps level sets of
+    different orders disjoint.  Like a ``Fraction`` or an ``int``, a level
+    is a height read through ``numerator`` and ``denominator`` (not
+    reduced); its ``Fraction`` value is built on each request.
     """
 
     order: int
     numerator: int
-    denominator: int = field(compare=False, repr=False)
+    denominator: int
 
     @property
     def value(self) -> Fraction:
         return Fraction(self.numerator, self.denominator)
+
+    def __eq__(self, other):
+        return (other.__class__ is WormholeLevel and self.order == other.order
+                and self.numerator == other.numerator)
+
+    def __ne__(self, other):  # tuple's own would compare every field
+        return not self == other
+
+    def __hash__(self):
+        return hash((self.order, self.numerator))
+
+    def __repr__(self):
+        return f"WormholeLevel(order={self.order!r}, numerator={self.numerator!r})"
 
     def __str__(self):
         return f"{self.value} (order {self.order})"
@@ -151,10 +167,10 @@ class WormholeLevel:
 def level_from_numerator(ms: MSequence, k: int, numerator: int) -> WormholeLevel:
     if k < 1:
         raise ValueError("order must be >= 1")
-    den = ms.D(k)
+    den, m_k = ms.grid(k)
     if not 1 <= numerator <= den - 1:
         raise ValueError(f"numerator {numerator} outside 1..{den - 1}")
-    if numerator % ms.entry(k) == 0:
+    if numerator % m_k == 0:
         raise ValueError(f"numerator {numerator} is a multiple of m_{k}")
     return WormholeLevel(k, numerator, den)
 
@@ -193,22 +209,34 @@ def classify_height(ms: MSequence, y) -> Optional[WormholeLevel]:
         k += 1
 
 
+def bracket(den: int, m_k: int, numerator: int, denominator: int) -> tuple[int, int]:
+    """The order-k levels on either side of the height numerator / denominator, over den = D_k.
+
+    Returns the numerators of the greatest level at or below the height
+    and of the least at or above it, found with one division.  Both 0 and
+    den are multiples of m_k, so stepping off the multiples leaves -1 or
+    den + 1 where no level lies on that side.
+    """
+    below, rest = divmod(numerator * den, denominator)
+    above = below + 1 if rest else below
+    if below % m_k == 0:
+        below -= 1
+    if above % m_k == 0:
+        above += 1
+    return below, above
+
+
 def snap(ms: MSequence, k: int, y, up: bool) -> Optional[WormholeLevel]:
     """The least order-k level at or above y (up), or the greatest at or below it.
 
     y is any height, a Fraction, an int or a level, compared in integers;
-    None when no order-k level lies on that side.
+    None when no order-k level lies on that side.  The rounding is
+    ``bracket``'s, as for ``nearest``.
     """
-    den = ms.D(k)
-    if up:
-        level = max(1, -(-y.numerator * den // y.denominator))
-    else:
-        level = min(den - 1, y.numerator * den // y.denominator)
-    if level % ms.entry(k) == 0:
-        level += 1 if up else -1
-    if not 0 < level < den:
-        return None
-    return WormholeLevel(k, level, den)
+    den, m_k = ms.grid(k)
+    below, above = bracket(den, m_k, y.numerator, y.denominator)
+    level = above if up else below
+    return WormholeLevel(k, level, den) if 0 < level < den else None
 
 
 def first_in_interval(ms: MSequence, k: int, lo, hi) -> Optional[WormholeLevel]:
@@ -229,12 +257,12 @@ def last_in_interval(ms: MSequence, k: int, lo, hi) -> Optional[WormholeLevel]:
 
 def nearest(ms: MSequence, k: int, y) -> WormholeLevel:
     """The order-k level closest to the height y (as for ``snap``); a tie goes up, as in Laakso's example."""
-    below, above = snap(ms, k, y, up=False), snap(ms, k, y, up=True)
-    if below is None or above is None:  # every order has a level in (0, 1)
-        return below or above
-    # 2y < below + above, in integers over D_k
-    closer = 2 * y.numerator * below.denominator < (below.numerator + above.numerator) * y.denominator
-    return below if closer else above
+    den, m_k = ms.grid(k)
+    below, above = bracket(den, m_k, y.numerator, y.denominator)
+    # 2y < below + above, in integers over D_k; every order has a level in (0, 1)
+    if below > 0 and (above >= den or 2 * y.numerator * den < (below + above) * y.denominator):
+        return WormholeLevel(k, below, den)
+    return WormholeLevel(k, above, den)
 
 
 def level_count(ms: MSequence, k: int, lo, hi) -> int:

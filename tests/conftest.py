@@ -118,6 +118,32 @@ def reference_limit(ms: MSequence, diffs, order: int, h, bound):
     return None if side * (omega - bound) > 0 else omega
 
 
+def reference_snap(ms: MSequence, k: int, y, up: bool):
+    """The least order-k level at or above y (up), or the greatest at or below it; None if none.
+
+    An independent statement of ``wormhole.snap``: round y * D_k up or
+    down, clamp into 1..D_k - 1, and step off a multiple of m_k, with D_k
+    and m_k read separately.
+    """
+    den = ms.D(k)
+    if up:
+        level = max(1, -(-y.numerator * den // y.denominator))
+    else:
+        level = min(den - 1, y.numerator * den // y.denominator)
+    if level % ms.entry(k) == 0:
+        level += 1 if up else -1
+    if not 0 < level < den:
+        return None
+    return WormholeLevel(k, level, den)
+
+
+def reference_nearest(ms: MSequence, k: int, y):
+    """The closer of the two ``reference_snap`` levels, measured in Fractions; a tie goes up."""
+    y = Fraction(y.numerator, y.denominator)
+    sides = [w for w in (reference_snap(ms, k, y, False), reference_snap(ms, k, y, True)) if w]
+    return min(sides, key=lambda w: (abs(w.value - y), -w.value))
+
+
 def reference_interval(space: Space, x: Point, y: Point):
     """The minimal interval in Fractions, as (a, b, witnesses).
 

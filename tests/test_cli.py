@@ -185,6 +185,20 @@ class TestErrorBoundary:
         assert result.exit_code == 2
         assert "cannot sample 5 distinct points with prefix length 0" in result.stderr
 
+    @pytest.mark.parametrize("count, prefix_len", [("2000", "0"), ("1000000", "4")])
+    def test_matrix_refuses_a_count_over_its_points_before_sampling(self, runner, count, prefix_len):
+        # prefix length L draws from 2**L addresses and D_L + 1 heights
+        started = time.monotonic()
+        result = invoke(runner, "-s", "3", "matrix", "--count", count, "--prefix-len", prefix_len)
+        assert time.monotonic() - started < 1.0
+        assert result.exit_code == 2
+        assert f"cannot sample {count} distinct points with prefix length {prefix_len}" in result.stderr
+
+    def test_matrix_samples_a_count_at_its_bound(self, runner):
+        result = invoke(runner, "-s", "3", "matrix", "--count", "2", "--prefix-len", "0")
+        assert result.exit_code == 0
+        assert sorted(json.loads(result.output)["points"]) == ["(0)@0", "(0)@1"]
+
 
 class TestSpaceInfo:
     def test_payload(self, runner):

@@ -163,6 +163,26 @@ class TestDigitsAndSwitch:
         assert switched == expected and hash(switched) == hash(expected)
         assert switched.switch(n) == a and hash(switched.switch(n)) == hash(a)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(0, 1), max_size=10),
+        st.lists(st.integers(0, 1), min_size=1, max_size=12),
+        st.integers(1, 400),
+    )
+    def test_switch_past_the_prefix_matches_full_canonicalisation(self, prefix, cycle, past):
+        # a flip past the prefix lands in an appended copy of the cycle, up
+        # to 400 digits on: the prefix needs no absorption
+        a = Address(tuple(prefix), tuple(cycle))
+        n = len(a.prefix) + past
+        length = len(a.prefix) + -(-past // len(a.cycle)) * len(a.cycle)
+        digits = [a.digit(i) for i in range(1, length + 1)]
+        digits[n - 1] = 1 - digits[n - 1]
+        expected = Address(tuple(digits), a.cycle)
+        switched = a.switch(n)
+        assert (switched.prefix, switched.cycle) == (expected.prefix, expected.cycle)
+        assert switched == expected and hash(switched) == hash(expected)
+        assert switched.switch(n) == a and hash(switched.switch(n)) == hash(a)
+
 
 class TestAsymptotics:
     def test_known_pairs(self):

@@ -23,7 +23,8 @@ from laakso import (
     snap,
 )
 from laakso.wormhole import _strip
-from conftest import level_digits, omega_value, reference_entries, sandwich_holds
+from conftest import (level_digits, omega_value, reference_entries, reference_nearest,
+                      reference_snap, sandwich_holds)
 
 # the order-2 and order-3 tables for the middle-thirds construction
 ORDER2 = {
@@ -499,3 +500,45 @@ class TestDeepLevels:
 
     def test_foreign_factor_decodes_to_none(self, s3):
         assert classify_height(s3.mseq, Fraction(1, 2 * 3 ** 1000)) is None
+
+
+@st.composite
+def probe_heights(draw, ms: MSequence, k: int):
+    """0 and 1, levels of orders up to k and above it, and midpoints of neighbouring order-k levels.
+
+    A level comes as a level or as its Fraction.
+    """
+    kind = draw(st.sampled_from(["end", "lower", "same", "higher", "midpoint"]))
+    if kind == "end":
+        return draw(st.sampled_from([Fraction(0), Fraction(1)]))
+    if kind == "midpoint":  # an exact tie between level i and the next one
+        den, m_k = ms.D(k), ms.entry(k)
+        i = draw(st.integers(1, den - 2))
+        i -= i % m_k == 0
+        return Fraction(2 * i + 1 + ((i + 1) % m_k == 0), 2 * den)
+    if kind == "lower" and k == 1:
+        return Fraction(draw(st.integers(0, 97)), 97)
+    order = {"lower": st.integers(1, k - 1), "same": st.just(k), "higher": st.integers(k + 1, k + 20)}
+    order = draw(order[kind])
+    den = ms.D(order)
+    numerator = draw(st.integers(1, den - 1))
+    numerator -= numerator % ms.entry(order) == 0
+    level = WormholeLevel(order, numerator, den)
+    return level if draw(st.booleans()) else level.value
+
+
+@pytest.mark.parametrize("name", sorted(LEVEL_SPACES))
+class TestOneRounding:
+    """``snap`` and ``nearest`` round once, and agree with the two-sided reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), k=st.integers(1, 60))
+    def test_snap_and_nearest_match_the_reference(self, name, data, k):
+        ms = LEVEL_SPACES[name]
+        y = data.draw(probe_heights(ms, k))
+        for up in (False, True):
+            got, expected = snap(ms, k, y, up), reference_snap(ms, k, y, up)
+            assert got == expected
+            assert got is None or got.denominator == expected.denominator
+        got, expected = nearest(ms, k, y), reference_nearest(ms, k, y)
+        assert (got, got.denominator) == (expected, expected.denominator)
