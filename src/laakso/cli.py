@@ -38,6 +38,16 @@ def _too_long(what: str) -> ResourceLimit:
     return ResourceLimit(f"{what} has more than {limit} digits: over the int-to-str limit")
 
 
+def _check_product(n: int, k: int, what: str) -> None:
+    """Refuse D_k >= n**k before it is built when n**k is too long to print.
+
+    n**k itself is formed only when it has fewer than 8 * limit bits.
+    """
+    limit = sys.get_int_max_str_digits()
+    if limit and (k * (n.bit_length() - 1) >= 4 * limit or n ** k >= 10 ** limit):
+        raise _too_long(what)
+
+
 def _text(value, what: str = "a number to print") -> str:
     """str(value), or ResourceLimit when it passes Python's int-to-str digit limit."""
     try:
@@ -182,16 +192,12 @@ def space_info(cfg, entries):
     # n and every m_i are no longer than a rational scale (MAX_SCALE_LOG2 bounds 2^(a/b))
     scale = _text(sp.scale)
     dimension = _text(sp.dimension) if sp.dimension is not None else None
-    # D_k >= n**k, so a product of n**k too long to print is refused before it is built;
-    # n**k itself is formed only when it has fewer than 8 * limit bits
-    limit, n = sys.get_int_max_str_digits(), sp.n
-    if limit and (entries * (n.bit_length() - 1) >= 4 * limit or n ** entries >= 10 ** limit):
-        raise _too_long(f"D_{entries}")
+    _check_product(sp.n, entries, f"D_{entries}")
     _emit(
         {
             "scale": scale,
             "dimension": dimension,
-            "n": n,
+            "n": sp.n,
             "m": [sp.mseq.entry(i) for i in range(1, entries + 1)],
             "D": _text(sp.mseq.D(entries), f"D_{entries}"),
         }
@@ -271,6 +277,11 @@ def path_cmd(cfg, x, y, strategy, depth):
 def matrix(cfg, count, prefix_len):
     """Exact pairwise distances over deterministically sampled points."""
     sp = cfg.space
+    if not count:
+        _emit({"points": [], "matrix": []})
+        return
+    # the heights are j / D_L, refused before D_L is built when its lower bound n**L is too long
+    _check_product(sp.n, prefix_len, "a number to print")
     rng = random.Random(cfg.seed)
     grid = sp.mseq.D(prefix_len)
     points = []

@@ -10,7 +10,6 @@ representations and equality is a tuple comparison.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import takewhile
 from math import lcm
@@ -18,13 +17,13 @@ from typing import Iterator, Union
 
 from .errors import InvariantViolation, ParseError
 from .numeric import Interval, ScaleFactor
+from .record import Record, slot_setters
 
 
 _DIGITS = frozenset((0, 1))
 
 
-@dataclass(frozen=True)
-class Address:
+class Address(Record):
     """Canonical eventually periodic 0/1 string.
 
     Canonical form: the cycle is primitive and rotated to its
@@ -34,30 +33,28 @@ class Address:
     read off the cycle as a byte string, searched and compared in C.
     """
 
-    prefix: tuple[int, ...]
-    cycle: tuple[int, ...]
+    __slots__ = ("prefix", "cycle")
 
-    def __post_init__(self):
-        pre, cyc = self.prefix, self.cycle
-        if not cyc:
+    def __init__(self, prefix: tuple[int, ...], cycle: tuple[int, ...]):
+        if not cycle:
             raise ValueError("cycle must be nonempty")
-        if not _DIGITS.issuperset(pre) or not _DIGITS.issuperset(cyc):
+        if not _DIGITS.issuperset(prefix) or not _DIGITS.issuperset(cycle):
             raise ValueError("digits must be 0 or 1")
         # the primitive period is the first shift at which the cycle recurs
-        text = bytes(cyc)
+        text = bytes(cycle)
         m = (text + text).find(text, 1)
         # lexicographically least rotation, compensated through the prefix
         doubled = text[:m] * 2
         j = doubled.find(min(doubled[t:t + m] for t in range(m)))
-        self._store(pre + cyc[:j], tuple(doubled[j:j + m]))
+        self._store(prefix + cycle[:j], tuple(doubled[j:j + m]))
 
     def _store(self, pre: tuple[int, ...], cyc: tuple[int, ...]) -> "Address":
         """Set the parts from a canonical cycle, absorbing trailing whole copies of it."""
         m = len(cyc)
         while len(pre) >= m and pre[-m:] == cyc:
             pre = pre[:-m]
-        object.__setattr__(self, "prefix", pre)
-        object.__setattr__(self, "cycle", cyc)
+        _set_prefix(self, pre)
+        _set_cycle(self, cyc)
         return self
 
     def digit(self, i: int) -> int:
@@ -82,16 +79,18 @@ class Address:
         if past <= 0:  # the flip may leave whole copies of the cycle at the end
             return switched._store(tuple(digits), cyc)
         # the last copy now differs from the cycle: nothing to absorb
-        object.__setattr__(switched, "prefix", tuple(digits))
-        object.__setattr__(switched, "cycle", cyc)
+        _set_prefix(switched, tuple(digits))
+        _set_cycle(switched, cyc)
         return switched
 
     def __str__(self):
         return format_address(self)
 
 
-@dataclass(frozen=True)
-class DifferenceOrders:
+_set_prefix, _set_cycle = slot_setters(Address)
+
+
+class DifferenceOrders(Record):
     """The increasing set of digit positions at which two addresses differ.
 
     From ``start`` on both strings are purely periodic, so the set repeats
@@ -101,11 +100,14 @@ class DifferenceOrders:
     position as it is found; later windows repeat the first one shifted.
     """
 
-    a: Address
-    b: Address
-    start: int
-    period: int
-    is_finite: bool
+    __slots__ = ("a", "b", "start", "period", "is_finite")
+
+    def __init__(self, a: Address, b: Address, start: int, period: int, is_finite: bool):
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_start(self, start)
+        _set_period(self, period)
+        _set_is_finite(self, is_finite)
 
     @property
     def head(self) -> tuple[int, ...]:
@@ -129,6 +131,9 @@ class DifferenceOrders:
             for k in window:
                 yield k + shift
             shift += self.period
+
+
+_set_a, _set_b, _set_start, _set_period, _set_is_finite = slot_setters(DifferenceOrders)
 
 
 def difference_orders(a: Address, b: Address) -> DifferenceOrders:

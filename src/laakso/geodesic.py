@@ -25,7 +25,6 @@ between two distinct levels there is a level of every higher order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
 from math import lcm
@@ -35,6 +34,7 @@ from typing import NamedTuple, Optional, Union
 from .errors import InvariantViolation, ResourceLimit
 from .fractal import Address, DifferenceOrders, difference_orders
 from .numeric import Interval
+from .record import Record, slot_setters
 from .space import Point, Space
 from .wormhole import (
     MSequence,
@@ -115,20 +115,21 @@ class Jump(NamedTuple):
     __hash__ = tuple.__hash__
 
 
-@dataclass(frozen=True)
-class Tail:
+class Tail(Record):
     """Accumulation record for the truncated infinite part of a path.
 
     The runs into omega and out of it are not stored: ``classify`` reads
     them off the heights the path shows just before and just after the tail.
     """
 
-    omega: Union[Fraction, Interval]
-    truncated_at: int
+    __slots__ = ("omega", "truncated_at")
+
+    def __init__(self, omega: Union[Fraction, Interval], truncated_at: int):
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "truncated_at", truncated_at)
 
 
-@dataclass(frozen=True)
-class PathRep:
+class PathRep(Record):
     """Combinatorial path: items, an optional tail, and post-tail moves.
 
     ``items`` alternate segments and jumps (zero-length segments are
@@ -137,11 +138,15 @@ class PathRep:
     approach segment, but a coarse-order jump can land there too.
     """
 
-    start: Point
-    end: Point
-    items: tuple
-    tail: Optional[Tail] = None
-    post: tuple = ()
+    __slots__ = ("start", "end", "items", "tail", "post")
+
+    def __init__(self, start: Point, end: Point, items: tuple, tail: Optional[Tail] = None,
+                 post: tuple = ()):
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
+        object.__setattr__(self, "items", items)
+        object.__setattr__(self, "tail", tail)
+        object.__setattr__(self, "post", post)
 
     def segments(self):
         return tuple(e for e in self.items + self.post if isinstance(e, Segment))
@@ -150,17 +155,21 @@ class PathRep:
         return tuple(e for e in self.items + self.post if isinstance(e, Jump))
 
 
-@dataclass(frozen=True, eq=False)
-class MinimalInterval:
+class MinimalInterval(Record):
     """[a, b] = [low, high] / unit, with one witnessing level per processed required order.
 
-    Equality and hashing follow a, b and the witnesses, whatever the unit.
+    Equality, hashing and the repr follow a, b and the witnesses, whatever the unit.
     """
 
-    low: int
-    high: int
-    unit: int
-    witnesses: tuple[tuple[int, WormholeLevel], ...]
+    _fields = ("a", "b", "witnesses")
+    __slots__ = ("low", "high", "unit", "witnesses")
+
+    def __init__(self, low: int, high: int, unit: int,
+                 witnesses: tuple[tuple[int, WormholeLevel], ...]):
+        _set_low(self, low)
+        _set_high(self, high)
+        _set_unit(self, unit)
+        _set_witnesses(self, witnesses)
 
     a = property(lambda self: Fraction(self.low, self.unit))
     b = property(lambda self: Fraction(self.high, self.unit))
@@ -172,16 +181,11 @@ class MinimalInterval:
         rise = hy.numerator * (unit // hy.denominator) - hx.numerator * (unit // hx.denominator)
         return Fraction(2 * (self.high - self.low) * (unit // self.unit) - abs(rise), unit)
 
-    def __eq__(self, other):
-        if not isinstance(other, MinimalInterval):
-            return NotImplemented
-        return (self.a, self.b, self.witnesses) == (other.a, other.b, other.witnesses)
+    def __reduce__(self):
+        return MinimalInterval, (self.low, self.high, self.unit, self.witnesses)
 
-    def __hash__(self):
-        return hash((self.a, self.b, self.witnesses))
 
-    def __repr__(self):
-        return f"MinimalInterval(a={self.a!r}, b={self.b!r}, witnesses={self.witnesses!r})"
+_set_low, _set_high, _set_unit, _set_witnesses = slot_setters(MinimalInterval)
 
 
 # ---------------------------------------------------------------------------

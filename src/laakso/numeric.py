@@ -13,12 +13,12 @@ starts from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
 from .errors import ResourceLimit
+from .record import Record
 
 #: Largest a of a derived scale s = 2**(a/b), checked before 2**a is built.
 #: With b >= 2 it keeps n = floor(s) below 2**8192, under 2 500 digits.
@@ -54,18 +54,17 @@ def _pow(x: int, i: int) -> int:
     return (x >> twos) ** i << twos * i
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Record):
     """Closed interval with exact rational endpoints."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
-        if self.lo > self.hi:
-            raise ValueError(f"interval endpoints out of order: {self.lo} > {self.hi}")
+    def __init__(self, lo: Fraction, hi: Fraction):
+        lo, hi = Fraction(lo), Fraction(hi)
+        if lo > hi:
+            raise ValueError(f"interval endpoints out of order: {lo} > {hi}")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @property
     def width(self) -> Fraction:
@@ -82,8 +81,7 @@ class Interval:
         return f"[{self.lo}, {self.hi}]"
 
 
-@dataclass(frozen=True)
-class ScaleFactor:
+class ScaleFactor(Record):
     """The contraction scale s > 2 of the two-branch system, as s**root = power.
 
     ``power`` is a Fraction and ``root`` a positive integer: root is 1 when s
@@ -93,9 +91,12 @@ class ScaleFactor:
     given; it is never re-derived numerically.
     """
 
-    power: Fraction
-    root: int = 1
-    dimension: Optional[Fraction] = None
+    __slots__ = ("power", "root", "dimension")
+
+    def __init__(self, power: Fraction, root: int = 1, dimension: Optional[Fraction] = None):
+        object.__setattr__(self, "power", power)
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "dimension", dimension)
 
     @classmethod
     def from_ratio(cls, s) -> "ScaleFactor":

@@ -19,19 +19,18 @@ from __future__ import annotations
 import heapq
 import random
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterator, Optional
 
 from .errors import NotRepresentable, ResourceLimit
 from .fractal import Address, difference_orders
+from .record import Record
 from .space import Point, Space
 from .wormhole import classify_height
 
 
-@dataclass(frozen=True)
-class ApproxGraph:
+class ApproxGraph(Record):
     """Depth-K quotient graph with exact rational edge weights.
 
     Vertices are (column, height-index) pairs, columns being the 2**K
@@ -41,29 +40,28 @@ class ApproxGraph:
     the graph: ``scale`` = L, ``units[i]`` = heights[i] * L as an integer,
     ``flips[i]``, the column bit flipped at row i (0 for none), and
     ``unflipped[i]``, the set of columns (bit c for column c) whose bit
-    ``flips[i]`` is clear.
+    ``flips[i]`` is clear.  Equality, hashing and the repr follow depth,
+    heights and orders alone.
     """
 
-    depth: int
-    heights: tuple[Fraction, ...]
-    orders: tuple[Optional[int], ...]
-    height_index: dict[Fraction, int] = field(init=False, compare=False, repr=False)
-    scale: int = field(init=False, compare=False, repr=False)
-    units: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    flips: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    unflipped: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _fields = ("depth", "heights", "orders")
+    __slots__ = _fields + ("height_index", "scale", "units", "flips", "unflipped")
 
-    def __post_init__(self):
-        scale = lcm(*(h.denominator for h in self.heights))
+    def __init__(self, depth: int, heights: tuple[Fraction, ...],
+                 orders: tuple[Optional[int], ...]):
+        scale = lcm(*(h.denominator for h in heights))
         # columns with bit k-1 clear: runs of 2**(k-1) ones, then as many zeros
-        every = (1 << (1 << self.depth)) - 1
-        clear = [every // ((1 << (2 << j)) - 1) * ((1 << (1 << j)) - 1) for j in range(self.depth)]
+        every = (1 << (1 << depth)) - 1
+        clear = [every // ((1 << (2 << j)) - 1) * ((1 << (1 << j)) - 1) for j in range(depth)]
         fields = {
-            "height_index": {h: i for i, h in enumerate(self.heights)},
+            "depth": depth,
+            "heights": heights,
+            "orders": orders,
+            "height_index": {h: i for i, h in enumerate(heights)},
             "scale": scale,
-            "units": tuple(h.numerator * (scale // h.denominator) for h in self.heights),
-            "flips": tuple(0 if k is None else 1 << (k - 1) for k in self.orders),
-            "unflipped": tuple(0 if k is None else clear[k - 1] for k in self.orders),
+            "units": tuple(h.numerator * (scale // h.denominator) for h in heights),
+            "flips": tuple(0 if k is None else 1 << (k - 1) for k in orders),
+            "unflipped": tuple(0 if k is None else clear[k - 1] for k in orders),
         }
         for name, value in fields.items():
             object.__setattr__(self, name, value)
@@ -78,14 +76,17 @@ MAX_VERTICES = 1_000_000
 
 
 def _check_budget(depth: int, rows: int) -> None:
-    if (1 << depth) * rows > MAX_VERTICES:
-        raise ResourceLimit(f"{(1 << depth) * rows} vertices exceed the budget of {MAX_VERTICES}")
+    """Refuse 2**depth columns by rows over the budget; 2**depth is formed only when small."""
+    if depth >= MAX_VERTICES.bit_length() or (1 << depth) * rows > MAX_VERTICES:
+        # the count is not printed: it may be too long for str()
+        raise ResourceLimit(f"the graph has more vertices than the budget of {MAX_VERTICES}")
 
 
 def build(space: Space, depth: int, extra_heights=()) -> ApproxGraph:
     """Assemble the depth-K graph; the grid always resolves orders <= K."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    _check_budget(depth, 1)  # the columns alone, before D_K is built
     grid_den = space.mseq.D(depth)
     _check_budget(depth, grid_den + 1)  # the grid alone, before it is built
     heights = {Fraction(j, grid_den) for j in range(grid_den + 1)}

@@ -8,32 +8,37 @@ equality and hashing syntactic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .errors import ParseError, ResourceLimit
 from .fractal import Address, format_address, parse_address
 from .numeric import ScaleFactor
+from .record import Record, slot_setters
 from .wormhole import MSequence, WormholeLevel, classify_height, level_count, levels_in_range
 
 #: Most levels ``Space.wormholes`` lists; at s = 3, order 11 has 118 100.
 MAX_LISTED_LEVELS = 200_000
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(Record):
     """Canonical (address, height) representative of a point of the space.
 
     Build points through :meth:`Space.point` or :meth:`Space.parse_point`,
     which enforce the digit convention at identification heights.
     """
 
-    address: Address
-    height: Fraction
+    __slots__ = ("address", "height")
+
+    def __init__(self, address: Address, height: Fraction):
+        _set_address(self, address)
+        _set_height(self, height)
 
     def __str__(self):
         return f"{format_address(self.address)}@{self.height}"
+
+
+_set_address, _set_height = slot_setters(Point)
 
 
 class Space:

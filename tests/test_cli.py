@@ -11,7 +11,7 @@ from click.testing import CliRunner
 
 from hypothesis import given, settings, strategies as st
 
-from laakso import InvariantViolation, Space, distance, geodesic_path
+from laakso import InvariantViolation, MSequence, Space, distance, geodesic_path
 from laakso.cli import _json, main
 from laakso.numeric import MAX_SCALE_LOG2
 
@@ -496,6 +496,27 @@ class TestMatrix:
         points = [space.parse_point(text) for text in payload["points"]]
         assert payload["matrix"] == [[str(distance(space, a, b)) for b in points] for a in points]
 
+    def test_no_points_build_no_grid(self, runner, monkeypatch):
+        def no_entries(self):
+            raise AssertionError("the sequence was extended")
+
+        monkeypatch.setattr(MSequence, "_extend", no_entries)
+        result = invoke(runner, "-s", "3", "matrix", "--count", "0", "--prefix-len", "20000")
+        assert result.exit_code == 0
+        assert json.loads(result.output) == {"points": [], "matrix": []}
+
+    @pytest.mark.parametrize("prefix_len", ["9013", "20000"])
+    def test_grid_too_long_to_print_is_refused_before_it_is_built(self, runner, prefix_len):
+        # the heights are j / D_L with D_L = 3**L at s = 3: 3**9012 has 4300 digits
+        started = time.monotonic()
+        result = invoke(runner, "-s", "3", "matrix", "--count", "1", "--prefix-len", prefix_len)
+        assert time.monotonic() - started < 1.0
+        assert result.exit_code == 3
+        limit = sys.get_int_max_str_digits()
+        assert result.stderr == (
+            f"error: a number to print has more than {limit} digits: over the int-to-str limit\n"
+        )
+
     def test_matrix_literals_reparse(self, runner):
         payload = json.loads(invoke(runner, "-s", "3", "matrix", "--count", "4").output)
         for text in payload["points"]:
@@ -605,6 +626,16 @@ class TestOracleCommands:
         result = invoke(runner, "-s", "3", "oracle-check", "--depth", "12")
         assert result.exit_code == 3
         assert "budget of 1000000" in result.output
+
+    @pytest.mark.parametrize("depth", ["20", "3000", "20000"])
+    @pytest.mark.parametrize("command", ["oracle-check", "oracle-export"])
+    def test_deep_graph_is_refused_before_the_sequence_is_built(self, runner, command, depth):
+        started = time.monotonic()
+        result = invoke(runner, "-s", "3", command, "--depth", depth)
+        assert time.monotonic() - started < 1.0
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr == "error: the graph has more vertices than the budget of 1000000\n"
 
     def test_export_edgelist(self, runner):
         result = invoke(runner, "-s", "3", "oracle-export", "--depth", "1")

@@ -63,6 +63,12 @@ class TestBuild:
         with pytest.raises(ResourceLimit, match="budget of 1000$"):
             build(s3, 20)
 
+    def test_deep_graph_is_refused_before_the_sequence_is_extended(self):
+        space = Space.from_ratio(3)
+        with pytest.raises(ResourceLimit, match="budget of 1000000$"):
+            build(space, 20000)
+        assert space.mseq._products == [1]  # no entry was chosen
+
     def test_integer_units(self, s3):
         graph = build(s3, 2, extra_heights=[Fraction(1, 5)])
         assert graph.scale == 45
