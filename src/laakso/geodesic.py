@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import chain, islice
 from math import lcm
 from operator import sub
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 from .errors import InvariantViolation, ResourceLimit
 from .fractal import Address, DifferenceOrders, difference_orders
@@ -60,17 +60,19 @@ def _cmp(a, b) -> int:
     return (left > right) - (left < right)
 
 
-class Segment(NamedTuple):
+class Segment(Record):
     """A vertical run at a fixed address, from height start to height end.
 
     The heights are exact: Fractions, ints or levels.  Equality and hashing
-    follow their values, whatever type holds them; a segment equals no
-    other record and no plain tuple.
+    follow their values, whatever type holds them.
     """
 
-    address: Address
-    start: Union[Fraction, int, WormholeLevel]
-    end: Union[Fraction, int, WormholeLevel]
+    __slots__ = ("address", "start", "end")
+
+    def __init__(self, address: Address, start, end):
+        _set_address(self, address)
+        _set_start(self, start)
+        _set_end(self, end)
 
     @property
     def h_start(self) -> Fraction:
@@ -88,31 +90,29 @@ class Segment(NamedTuple):
         return (other.__class__ is Segment and self.address == other.address
                 and _cmp(self.start, other.start) == 0 and _cmp(self.end, other.end) == 0)
 
-    def __ne__(self, other):  # tuple's own would compare every field
-        return not self == other
-
     def __hash__(self):
         return hash((self.address, self.h_start, self.h_end))
 
 
-class Jump(NamedTuple):
-    """A zero-length passage through an identification level; it equals no plain tuple."""
+_set_address, _set_start, _set_end = slot_setters(Segment)
 
-    level: WormholeLevel
-    from_address: Address
-    to_address: Address
+
+class Jump(Record):
+    """A zero-length passage through an identification level."""
+
+    __slots__ = ("level", "from_address", "to_address")
+
+    def __init__(self, level: WormholeLevel, from_address: Address, to_address: Address):
+        _set_level(self, level)
+        _set_from_address(self, from_address)
+        _set_to_address(self, to_address)
 
     @property
     def height(self) -> Fraction:
         return self.level.value
 
-    def __eq__(self, other):
-        return other.__class__ is Jump and tuple.__eq__(self, other)
 
-    def __ne__(self, other):  # tuple's own would compare every field
-        return not self == other
-
-    __hash__ = tuple.__hash__
+_set_level, _set_from_address, _set_to_address = slot_setters(Jump)
 
 
 class Tail(Record):
@@ -180,9 +180,6 @@ class MinimalInterval(Record):
         unit = lcm(self.unit, hx.denominator, hy.denominator)  # self.unit for its own endpoints
         rise = hy.numerator * (unit // hy.denominator) - hx.numerator * (unit // hx.denominator)
         return Fraction(2 * (self.high - self.low) * (unit // self.unit) - abs(rise), unit)
-
-    def __reduce__(self):
-        return MinimalInterval, (self.low, self.high, self.unit, self.witnesses)
 
 
 _set_low, _set_high, _set_unit, _set_witnesses = slot_setters(MinimalInterval)

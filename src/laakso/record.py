@@ -15,10 +15,9 @@ class Record:
 
     ``_fields`` names the compared fields, at least two, and defaults to the
     slots.  One ``attrgetter`` over them, set when the subclass is defined,
-    serves ``==`` (records of one class only), the hash of their tuple, the
-    ``Name(field=value, ...)`` repr and ``__reduce__``, by which ``copy`` and
-    ``pickle`` pass them back to ``__init__`` (a record whose ``__init__``
-    takes other fields overrides it).
+    serves ``==`` (records of one class only), the hash of their tuple and
+    the ``Name(field=value, ...)`` repr; ``copy`` and ``pickle`` restore the
+    slots as stored, without running ``__init__`` again.
     """
 
     __slots__ = ()
@@ -46,7 +45,15 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r} of an immutable record")
 
     def __reduce__(self):
-        return self.__class__, self._values(self)
+        return _restore, (self.__class__, tuple(getattr(self, name) for name in self.__slots__))
+
+
+def _restore(cls: type, values: tuple) -> Record:
+    """A record of cls whose slots hold values, in slot order; ``__init__`` does not run."""
+    record = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        object.__setattr__(record, name, value)
+    return record
 
 
 def slot_setters(cls: type) -> tuple:

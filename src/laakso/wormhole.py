@@ -12,10 +12,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, Optional
 
 from .errors import InfeasibleSequence
 from .numeric import ScaleFactor
+from .record import Record, slot_setters
 
 
 def _strip(value: int, factor: int) -> int:
@@ -128,40 +129,34 @@ class MSequence:
         self._top, self._bottom = top, bottom
 
 
-class WormholeLevel(NamedTuple):
+class WormholeLevel(Record):
     """A single identification height: numerator / denominator, denominator = D_order.
 
-    The order and the numerator fix the level, and equality and hashing use
-    only them; a level equals no other record and no plain tuple.  The
-    numerator is never a multiple of m_order, which keeps level sets of
-    different orders disjoint.  Like a ``Fraction`` or an ``int``, a level
-    is a height read through ``numerator`` and ``denominator`` (not
-    reduced); its ``Fraction`` value is built on each request.
+    The order and the numerator fix the level, and equality, hashing and
+    the repr use only them.  The numerator is never a multiple of m_order,
+    which keeps level sets of different orders disjoint.  Like a
+    ``Fraction`` or an ``int``, a level is a height read through
+    ``numerator`` and ``denominator`` (not reduced); its ``Fraction`` value
+    is built on each request.
     """
 
-    order: int
-    numerator: int
-    denominator: int
+    _fields = ("order", "numerator")
+    __slots__ = ("order", "numerator", "denominator")
+
+    def __init__(self, order: int, numerator: int, denominator: int):
+        _set_order(self, order)
+        _set_numerator(self, numerator)
+        _set_denominator(self, denominator)
 
     @property
     def value(self) -> Fraction:
         return Fraction(self.numerator, self.denominator)
 
-    def __eq__(self, other):
-        return (other.__class__ is WormholeLevel and self.order == other.order
-                and self.numerator == other.numerator)
-
-    def __ne__(self, other):  # tuple's own would compare every field
-        return not self == other
-
-    def __hash__(self):
-        return hash((self.order, self.numerator))
-
-    def __repr__(self):
-        return f"WormholeLevel(order={self.order!r}, numerator={self.numerator!r})"
-
     def __str__(self):
         return f"{self.value} (order {self.order})"
+
+
+_set_order, _set_numerator, _set_denominator = slot_setters(WormholeLevel)
 
 
 def level_from_numerator(ms: MSequence, k: int, numerator: int) -> WormholeLevel:
@@ -266,7 +261,8 @@ def nearest(ms: MSequence, k: int, y) -> WormholeLevel:
 
 
 def level_count(ms: MSequence, k: int, lo, hi) -> int:
-    """How many order-k levels lie inside [lo, hi], counted without listing them."""
+    """How many order-k levels lie inside [lo, hi], two numbers, counted without listing them."""
+    lo, hi = max(lo, 0), min(hi, 1)  # snap finds no level past 0 or 1
     first = first_in_interval(ms, k, lo, hi)
     if first is None:
         return 0
@@ -278,7 +274,8 @@ def level_count(ms: MSequence, k: int, lo, hi) -> int:
 
 
 def levels_in_range(ms: MSequence, k: int, lo, hi) -> Iterator[WormholeLevel]:
-    """All order-k levels inside [lo, hi], ascending."""
+    """All order-k levels inside [lo, hi], two numbers, ascending."""
+    lo, hi = max(lo, 0), min(hi, 1)
     first = first_in_interval(ms, k, lo, hi)
     if first is None:
         return

@@ -284,6 +284,11 @@ class TestWormholes:
         assert time.monotonic() - started < 1
         assert result.exit_code == 0 and json.loads(result.output) == []
 
+    @pytest.mark.parametrize("lo, hi, expected", [("1/2", "7", ["2/3"]), ("-1/2", "1/2", ["1/3"])])
+    def test_bounds_outside_zero_one_are_clamped(self, runner, lo, hi, expected):
+        result = invoke(runner, "-s", "3", "wormholes", "--order", "1", "--from", lo, "--to", hi)
+        assert result.exit_code == 0 and json.loads(result.output) == expected
+
     @pytest.mark.parametrize("order, height, expected", [("1", "1/3", ["1/3"]), ("2", "1/3", []),
                                                          ("2", "1/9", ["1/9"]), ("1", "1/9", []),
                                                          ("1", "0", []), ("1", "1", [])])

@@ -404,7 +404,7 @@ class TestSegment:
 
 
 class TestRecords:
-    """Levels, segments and jumps are immutable records that equal only their own kind."""
+    """Levels and segments compare by value; the other record checks are in test_records.py."""
 
     A = Address((1, 0), (0, 1))
     LEVEL = WormholeLevel(2, 5, 9)
@@ -421,20 +421,13 @@ class TestRecords:
         Jump: ("level", "from_address", "to_address"),
     }
 
-    @pytest.mark.parametrize("record", RECORDS)
-    def test_fields_cannot_be_assigned(self, record):
-        for name in self.FIELDS[type(record)]:
-            with pytest.raises(AttributeError):
-                setattr(record, name, None)
-        with pytest.raises(AttributeError):
-            record.other = None
-
     def test_a_level_is_its_order_and_numerator(self):
         assert WormholeLevel(1, 1, 3) == WormholeLevel(1, 1, 9)
         assert not WormholeLevel(1, 1, 3) != WormholeLevel(1, 1, 9)
         assert hash(WormholeLevel(1, 1, 3)) == hash(WormholeLevel(1, 1, 9))
         assert WormholeLevel(1, 1, 3) != WormholeLevel(2, 1, 9)
         assert WormholeLevel(1, 1, 3) != WormholeLevel(1, 2, 3)
+        assert str(self.LEVEL) == "5/9 (order 2)"
 
     def test_segments_follow_height_values(self):
         a, level = self.A, WormholeLevel(1, 1, 3)
@@ -447,22 +440,11 @@ class TestRecords:
 
     @pytest.mark.parametrize("record", RECORDS)
     def test_no_record_equals_a_plain_tuple(self, record):
+        # and one built again from its fields through __init__ equals it
         plain = tuple(getattr(record, name) for name in self.FIELDS[type(record)])
         assert not record == plain and not plain == record
         assert record != plain and plain != record
         assert record == type(record)(*plain) and not record != type(record)(*plain)
-
-    def test_reprs(self):
-        address = "Address(prefix=(1, 0), cycle=(0, 1))"
-        level = "WormholeLevel(order=2, numerator=5)"
-        assert [repr(record) for record in self.RECORDS] == [
-            level,
-            f"Segment(address={address}, start=Fraction(1, 3), end={level})",
-            f"Segment(address={address}, start=0, end=1)",
-            f"Jump(level={level}, from_address={address}, "
-            "to_address=Address(prefix=(0, 0), cycle=(0, 1)))",
-        ]
-        assert str(self.LEVEL) == "5/9 (order 2)"
 
 
 class TestGeodesic:

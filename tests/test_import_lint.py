@@ -3,8 +3,9 @@
 Both cost a few milliseconds at start-up, more than a one-shot ``laakso
 distance`` spends on its answer.  The records are ``__slots__`` classes on
 ``record.Record``; a static check over the ast of ``src/laakso`` keeps
-``dataclasses`` out, and a fresh interpreter confirms that neither module
-is loaded.
+``dataclasses`` out, and ``typing.NamedTuple`` and ``collections.namedtuple``
+too, which generate their methods with ``eval`` at import.  A fresh
+interpreter confirms that neither ``dataclasses`` nor ``inspect`` is loaded.
 """
 
 import ast
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "laakso"
+GENERATORS = ("typing.NamedTuple", "collections.namedtuple")
 
 
 def violations(source: str) -> list[str]:
@@ -24,11 +26,13 @@ def violations(source: str) -> list[str]:
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and not node.level:
-            names = [node.module]
+            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [f"{node.value.id}.{node.attr}"]
         else:
             continue
-        found += [f"line {node.lineno}: imports {name}" for name in names
-                  if name.split(".")[0] == "dataclasses"]
+        found += [f"line {node.lineno}: uses {name}" for name in names
+                  if name.split(".")[0] == "dataclasses" or name in GENERATORS]
     return found
 
 
@@ -42,6 +46,10 @@ def test_module_does_not_import_dataclasses(path):
     "from dataclasses import dataclass",
     "import os, dataclasses as dc",
     "def later():\n    from dataclasses import field",
+    "from typing import Iterator, NamedTuple",
+    "import typing\nclass Level(typing.NamedTuple):\n    order: int",
+    "from collections import namedtuple as record",
+    "import collections\nLevel = collections.namedtuple('Level', 'order numerator')",
 ])
 def test_each_kind_of_import_is_caught(snippet):
     assert violations(snippet)
@@ -49,6 +57,7 @@ def test_each_kind_of_import_is_caught(snippet):
 
 def test_other_imports_pass():
     assert violations("from operator import attrgetter\nfrom .record import Record") == []
+    assert violations("from typing import Iterator, Optional\nfrom collections import deque") == []
 
 
 def test_a_fresh_interpreter_loads_neither_dataclasses_nor_inspect():

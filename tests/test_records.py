@@ -1,9 +1,10 @@
-"""The nine immutable records: frozen fields, equality and hashing over fixed fields, reprs, copies.
+"""The twelve immutable records: frozen fields, equality and hashing over fixed fields, reprs, copies.
 
 Each record compares and hashes as the tuple of its compared fields, equals
 no plain tuple and no record of another type, prints the repr recorded
 below, and survives ``copy.copy``, ``copy.deepcopy`` and a pickle round
-trip as an equal record.
+trip as an equal record with every slot as stored, without ``__init__``
+running again.
 """
 
 import copy
@@ -17,6 +18,7 @@ from laakso import (Address, Interval, Jump, MinimalInterval, Point, ScaleFactor
 from laakso.fractal import DifferenceOrders
 from laakso.geodesic import PathRep, Tail
 from laakso.oracle import ApproxGraph, build
+from laakso.record import Record
 
 S3 = Space.from_ratio(3)
 A = Address((1, 0), (0, 1))
@@ -64,10 +66,20 @@ CASES = [
         build(S3, 2), build(S3, 1, [Fraction(1, 5)]),
         ApproxGraph(1, GRAPH.heights, (None, 1, None, None)),
     ]),
+    (LEVEL, ("order", "numerator"), [WormholeLevel(3, 5, 27), WormholeLevel(2, 4, 9)]),
+    (Segment(A, Fraction(1, 10), Fraction(1, 2)), ("address", "start", "end"), [
+        Segment(B, Fraction(1, 10), Fraction(1, 2)), Segment(A, Fraction(1, 9), Fraction(1, 2)),
+        Segment(A, Fraction(1, 10), 1),
+    ]),
+    (PATH.post[0], ("address", "start", "end"), [Segment(B, 0, 1), Segment(B, Fraction(1, 2), 0)]),
+    (PATH.items[1], ("level", "from_address", "to_address"), [
+        Jump(WormholeLevel(2, 4, 9), A, A.switch(2)), Jump(LEVEL, B, A.switch(2)), Jump(LEVEL, A, A),
+    ]),
 ]
 
 #: Other attributes a record holds, which assigning or deleting must refuse too.
 DERIVED = {
+    WormholeLevel: ("denominator",),
     MinimalInterval: ("low", "high", "unit"),
     ApproxGraph: ("height_index", "scale", "units", "flips", "unflipped"),
 }
@@ -94,14 +106,28 @@ REPRS = [
     "numerator=1)), (3, WormholeLevel(order=3, numerator=4))))",
     "ApproxGraph(depth=1, heights=(Fraction(0, 1), Fraction(1, 3), Fraction(2, 3), "
     "Fraction(1, 1)), orders=(None, 1, 1, None))",
+    "WormholeLevel(order=2, numerator=5)",
+    "Segment(address=Address(prefix=(1, 0), cycle=(0, 1)), start=Fraction(1, 10), "
+    "end=Fraction(1, 2))",
+    "Segment(address=Address(prefix=(1,), cycle=(0,)), start=Fraction(1, 2), end=1)",
+    "Jump(level=WormholeLevel(order=2, numerator=5), from_address=Address(prefix=(1, 0), "
+    "cycle=(0, 1)), to_address=Address(prefix=(1, 1), cycle=(0, 1)))",
 ]
 
 RECORDS = [record for record, _, _ in CASES]
 IDS = [f"{type(record).__name__}-{i}" for i, record in enumerate(RECORDS)]
 
 
-def test_all_nine_records_are_covered():
-    assert len({type(record) for record in RECORDS}) == 9
+def test_all_twelve_records_are_covered():
+    assert len({type(record) for record in RECORDS}) == 12
+    assert all(isinstance(record, Record) for record in RECORDS)
+
+
+def test_only_segments_override_the_base():
+    # a segment compares its heights by value, whatever type holds them
+    for kind in {type(record) for record in RECORDS}:
+        overridden = {"__eq__", "__hash__", "__ne__", "__repr__", "__reduce__"} & set(vars(kind))
+        assert overridden == ({"__eq__", "__hash__"} if kind is Segment else set()), kind
 
 
 @pytest.mark.parametrize("record, compared, _", CASES, ids=IDS)
@@ -159,3 +185,17 @@ def test_copies_and_pickles_are_equal(duplicate, record):
     twin = duplicate(record)
     assert type(twin) is type(record)
     assert twin == record and hash(twin) == hash(record) and repr(twin) == repr(record)
+    # every slot comes back as stored, the ones no comparison reads too
+    for name in type(record).__slots__:
+        assert getattr(twin, name) == getattr(record, name)
+
+
+def test_copies_and_pickles_do_not_run_init(monkeypatch):
+    def refuse(self, *args):
+        raise AssertionError(f"{type(self).__name__}.__init__ ran")
+
+    for kind in {type(record) for record in RECORDS}:
+        monkeypatch.setattr(kind, "__init__", refuse)
+    for record in RECORDS:
+        assert copy.copy(record) == record and copy.deepcopy(record) == record
+        assert pickle.loads(pickle.dumps(record)) == record

@@ -104,6 +104,14 @@ class TestWormholes:
         # the only order-1 levels at s=3 are 1/3 and 2/3
         assert Space.from_ratio(3).wormholes(1, Fraction(1, 10), Fraction(1, 5)) == []
 
+    def test_bounds_outside_zero_one_are_clamped(self):
+        space = Space.from_ratio(3)
+        below = [Fraction(1, 9), Fraction(2, 9), Fraction(4, 9)]
+        assert [w.value for w in space.wormholes(2, Fraction(-1, 2), Fraction(1, 2))] == below
+        assert [w.value for w in space.wormholes(1, Fraction(1, 2), 7)] == [Fraction(2, 3)]
+        assert [w.value for w in space.wormholes(1, -5, 5)] == [Fraction(1, 3), Fraction(2, 3)]
+        assert space.wormholes(1, 1, 7) == space.wormholes(1, -7, -1) == []
+
 
 class TestPointLiterals:
     def test_round_trip(self, s3):
