@@ -18,7 +18,7 @@ from json.encoder import encode_basestring_ascii
 
 import click
 
-from . import geodesic
+from . import budget, geodesic
 from .errors import InfeasibleSequence, InvariantViolation, ParseError, ResourceLimit
 from .fractal import Address, format_address
 from .geodesic import MinimalInterval, PathRep, classify, connect, distance, geodesic_path, path_length
@@ -31,29 +31,6 @@ def _fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad fraction {text!r}") from None
-
-
-def _too_long(what: str) -> ResourceLimit:
-    limit = sys.get_int_max_str_digits()
-    return ResourceLimit(f"{what} has more than {limit} digits: over the int-to-str limit")
-
-
-def _check_product(n: int, k: int, what: str) -> None:
-    """Refuse D_k >= n**k before it is built when n**k is too long to print.
-
-    n**k itself is formed only when it has fewer than 8 * limit bits.
-    """
-    limit = sys.get_int_max_str_digits()
-    if limit and (k * (n.bit_length() - 1) >= 4 * limit or n ** k >= 10 ** limit):
-        raise _too_long(what)
-
-
-def _text(value, what: str = "a number to print") -> str:
-    """str(value), or ResourceLimit when it passes Python's int-to-str digit limit."""
-    try:
-        return str(value)
-    except ValueError:  # raised only past the limit
-        raise _too_long(what) from None
 
 
 def _json(value, indent: str = "\n") -> str:
@@ -85,14 +62,14 @@ def _emit(payload) -> None:
 
 def _value_json(v):
     if isinstance(v, Interval):
-        return {"lo": _text(v.lo), "hi": _text(v.hi)}
-    return _text(v)
+        return {"lo": budget.text(v.lo), "hi": budget.text(v.hi)}
+    return budget.text(v)
 
 
 def _distance_json(interval: MinimalInterval, x, y) -> dict:
     return {
-        "distance": _text(interval.length_between(x, y)),
-        "interval": {"a": _text(interval.a), "b": _text(interval.b)},
+        "distance": budget.text(interval.length_between(x, y)),
+        "interval": {"a": budget.text(interval.a), "b": budget.text(interval.b)},
     }
 
 
@@ -104,7 +81,7 @@ def _path_json(path: PathRep):
         key = (h.numerator, h.denominator)
         text = texts.get(key)
         if text is None:
-            text = texts[key] = _text(Fraction(*key))
+            text = texts[key] = budget.text(Fraction(*key))
         return text
 
     limit = None
@@ -114,8 +91,8 @@ def _path_json(path: PathRep):
             "truncated_at": path.tail.truncated_at,
         }
     return {
-        "start": _text(path.start),
-        "end": _text(path.end),
+        "start": budget.text(path.start),
+        "end": budget.text(path.end),
         "class": label,
         "segments": [
             {
@@ -189,17 +166,17 @@ def main(ctx, s, q, m_override, seed):
 def space_info(cfg, entries):
     """Print n, the first branching entries and their product."""
     sp = cfg.space
-    # n and every m_i are no longer than a rational scale (MAX_SCALE_LOG2 bounds 2^(a/b))
-    scale = _text(sp.scale)
-    dimension = _text(sp.dimension) if sp.dimension is not None else None
-    _check_product(sp.n, entries, f"D_{entries}")
+    # n and every m_i are no longer than a rational scale (budget.MAX_SCALE_LOG2 bounds 2^(a/b))
+    scale = budget.text(sp.scale)
+    dimension = budget.text(sp.dimension) if sp.dimension is not None else None
+    budget.check_printable(sp.n, entries, f"D_{entries}")
     _emit(
         {
             "scale": scale,
             "dimension": dimension,
             "n": sp.n,
             "m": [sp.mseq.entry(i) for i in range(1, entries + 1)],
-            "D": _text(sp.mseq.D(entries), f"D_{entries}"),
+            "D": budget.text(sp.mseq.D(entries), f"D_{entries}"),
         }
     )
 
@@ -212,7 +189,7 @@ def space_info(cfg, entries):
 def wormholes(cfg, order, lo, hi):
     """Sorted identification heights of one order inside a range."""
     levels = cfg.space.wormholes(order, _fraction(lo), _fraction(hi))
-    _emit([_text(w.value) for w in levels])
+    _emit([budget.text(w.value) for w in levels])
 
 
 @main.command("distance")
@@ -281,7 +258,7 @@ def matrix(cfg, count, prefix_len):
         _emit({"points": [], "matrix": []})
         return
     # the heights are j / D_L, refused before D_L is built when its lower bound n**L is too long
-    _check_product(sp.n, prefix_len, "a number to print")
+    budget.check_printable(sp.n, prefix_len, "a number to print")
     rng = random.Random(cfg.seed)
     grid = sp.mseq.D(prefix_len)
     points = []
@@ -289,10 +266,10 @@ def matrix(cfg, count, prefix_len):
     attempts = 0
     # the draws come from 2**prefix_len addresses times grid + 1 heights: a
     # count over that is refused before the first draw
-    budget = 200 * count if count <= (grid + 1) << prefix_len else 0
+    allowed = 200 * count if count <= (grid + 1) << prefix_len else 0
     while len(points) < count:
         attempts += 1
-        if attempts > budget:
+        if attempts > allowed:
             raise click.UsageError(
                 f"cannot sample {count} distinct points with prefix length {prefix_len}"
             )
@@ -306,8 +283,8 @@ def matrix(cfg, count, prefix_len):
     table = [["0"] * count for _ in points]
     for i, a in enumerate(points):
         for j in range(i + 1, count):
-            table[i][j] = table[j][i] = _text(distance(sp, a, points[j]))
-    _emit({"points": [_text(p) for p in points], "matrix": table})
+            table[i][j] = table[j][i] = budget.text(distance(sp, a, points[j]))
+    _emit({"points": [budget.text(p) for p in points], "matrix": table})
 
 
 @main.command("oracle-check")
@@ -319,7 +296,7 @@ def oracle_check(cfg, depth, samples):
     from . import oracle
 
     checked, worst = oracle.agreement_check(cfg.space, depth, samples, distance, cfg.seed)
-    _emit({"depth": depth, "samples": checked, "max_discrepancy": _text(worst)})
+    _emit({"depth": depth, "samples": checked, "max_discrepancy": budget.text(worst)})
     if worst != 0:
         sys.exit(1)
 
@@ -334,13 +311,13 @@ def oracle_export(cfg, depth, fmt, extras):
     from . import oracle
 
     heights = [_fraction(e) for e in extras]
-    _text(heights)  # formats every height, as the vertex labels will
+    budget.text(heights)  # formats every height, as the vertex labels will
     try:
         graph = oracle.build(cfg.space, depth, heights)
     except ValueError as exc:  # an extra height outside [0, 1]
         raise ParseError(str(exc)) from None
     for u, v, w in oracle.iter_edges(graph):
-        click.echo(f"{u} {v} {_text(w)}")
+        click.echo(f"{u} {v} {budget.text(w)}")
 
 
 if __name__ == "__main__":

@@ -31,7 +31,8 @@ from math import lcm
 from operator import sub
 from typing import Optional, Union
 
-from .errors import InvariantViolation, ResourceLimit
+from . import budget
+from .errors import InvariantViolation
 from .fractal import Address, DifferenceOrders, difference_orders
 from .numeric import Interval
 from .record import Record, slot_setters
@@ -51,7 +52,6 @@ UPWARD, DOWNWARD, INVERSION = "upward", "downward", "inversion"
 MONOTONE_UP, MONOTONE_DOWN, OSCILLATING = "monotone-up", "monotone-down", "oscillating"
 
 NEAREST, INCREASING = "nearest", "increasing"
-MAX_TAIL_BITS = 1 << 16  # bits of n**period, a tail limit's growth over one period of orders
 
 
 def _cmp(a, b) -> int:
@@ -267,8 +267,7 @@ def _limit(ms: MSequence, diffs: DifferenceOrders, order: int, h,
         far = Fraction(num * den + side * unit, unit * den)
         return Interval(here, min(edge, far)) if side > 0 else Interval(max(edge, far), here)
     n, period = ms.n, diffs.period
-    if period * (n.bit_length() - 1) > MAX_TAIL_BITS:  # before any power of n is formed
-        raise ResourceLimit(f"a tail of period {period} is over the budget of {MAX_TAIL_BITS} bits")
+    budget.check_tail(n, period)  # before any power of n is formed
     floor = max(order, len(ms.override), diffs.start - 1)
     base = ms.D(floor)
     near = sum(base // ms.D(k) for k in diffs.between(order, floor))

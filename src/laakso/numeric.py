@@ -17,12 +17,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .errors import ResourceLimit
+from . import budget
 from .record import Record
-
-#: Largest a of a derived scale s = 2**(a/b), checked before 2**a is built.
-#: With b >= 2 it keeps n = floor(s) below 2**8192, under 2 500 digits.
-MAX_SCALE_LOG2 = 1 << 14
 
 
 def iroot(x: int, k: int) -> int:
@@ -111,9 +107,7 @@ class ScaleFactor(Record):
         if not Fraction(1) < q < Fraction(2):
             raise ValueError("dimension must lie strictly inside (1, 2)")
         exponent = 1 / (q - 1)  # s = 2**exponent, exponent > 1
-        if exponent.numerator > MAX_SCALE_LOG2:
-            raise ResourceLimit(f"dimension gives s = 2^(a/b) with a over {MAX_SCALE_LOG2}: "
-                                "over the scale budget")
+        budget.check_scale(exponent.numerator)
         return cls(Fraction(1 << exponent.numerator), exponent.denominator, q)
 
     @property

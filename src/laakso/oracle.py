@@ -23,7 +23,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterator, Optional
 
-from .errors import NotRepresentable, ResourceLimit
+from . import budget
+from .errors import NotRepresentable
 from .fractal import Address, difference_orders
 from .record import Record
 from .space import Point, Space
@@ -71,24 +72,13 @@ class ApproxGraph(Record):
         return (1 << self.depth) * len(self.heights)
 
 
-#: Most vertices ``build`` assembles.
-MAX_VERTICES = 1_000_000
-
-
-def _check_budget(depth: int, rows: int) -> None:
-    """Refuse 2**depth columns by rows over the budget; 2**depth is formed only when small."""
-    if depth >= MAX_VERTICES.bit_length() or (1 << depth) * rows > MAX_VERTICES:
-        # the count is not printed: it may be too long for str()
-        raise ResourceLimit(f"the graph has more vertices than the budget of {MAX_VERTICES}")
-
-
 def build(space: Space, depth: int, extra_heights=()) -> ApproxGraph:
     """Assemble the depth-K graph; the grid always resolves orders <= K."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    _check_budget(depth, 1)  # the columns alone, before D_K is built
+    budget.check_vertices(depth, 1)  # the columns alone, before D_K is built
     grid_den = space.mseq.D(depth)
-    _check_budget(depth, grid_den + 1)  # the grid alone, before it is built
+    budget.check_vertices(depth, grid_den + 1)  # the grid alone, before it is built
     heights = {Fraction(j, grid_den) for j in range(grid_den + 1)}
     for h in extra_heights:
         h = Fraction(h)
@@ -96,7 +86,7 @@ def build(space: Space, depth: int, extra_heights=()) -> ApproxGraph:
             raise ValueError(f"extra height {h} outside [0, 1]")
         heights.add(h)
     ordered = tuple(sorted(heights))
-    _check_budget(depth, len(ordered))
+    budget.check_vertices(depth, len(ordered))
     orders = []
     for h in ordered:
         level = classify_height(space.mseq, h)

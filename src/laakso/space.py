@@ -11,14 +11,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .errors import ParseError, ResourceLimit
+from . import budget
+from .errors import ParseError
 from .fractal import Address, format_address, parse_address
 from .numeric import ScaleFactor
 from .record import Record, slot_setters
 from .wormhole import MSequence, WormholeLevel, classify_height, level_count, levels_in_range
-
-#: Most levels ``Space.wormholes`` lists; at s = 3, order 11 has 118 100.
-MAX_LISTED_LEVELS = 200_000
 
 
 class Point(Record):
@@ -103,24 +101,12 @@ class Space:
     # -- level queries ---------------------------------------------------
 
     def wormholes(self, order: int, lo=0, hi=1) -> list[WormholeLevel]:
-        """The order-k levels inside [lo, hi], ascending, at most MAX_LISTED_LEVELS.
-
-        Before D_k is built, D_k >= n**k bounds the count from below: a
-        width w of [lo, hi] inside [0, 1] holds at least w * n**k / 2 - 4
-        levels, compared through bit lengths so that n**k is never formed.
-        """
+        """The order-k levels inside [lo, hi], ascending, at most ``budget.MAX_LISTED_LEVELS``."""
         width = Fraction(min(hi, 1) - max(lo, 0))
         if width <= 0:  # one height or none: decode it instead of building D_k
             level = classify_height(self.mseq, lo) if width == 0 else None
             return [level] if level is not None and level.order == order else []
-        # with width = p/q: p * n**k >= 2**low, and 2 * (MAX_LISTED_LEVELS + 4) * q < 2**high
-        low = width.numerator.bit_length() - 1 + order * (self.n.bit_length() - 1)
-        high = (2 * (MAX_LISTED_LEVELS + 4) * width.denominator).bit_length()
-        if low >= high or level_count(self.mseq, order, lo, hi) > MAX_LISTED_LEVELS:
-            # the count itself is not printed: at high orders it has thousands of digits
-            raise ResourceLimit(
-                f"more than {MAX_LISTED_LEVELS} order-{order} levels: over the listing budget"
-            )
+        budget.check_listing(self.n, order, width, lambda: level_count(self.mseq, order, lo, hi))
         return list(levels_in_range(self.mseq, order, lo, hi))
 
     def __repr__(self):

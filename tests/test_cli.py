@@ -12,8 +12,8 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from laakso import InvariantViolation, MSequence, Space, distance, geodesic_path
+from laakso.budget import MAX_SCALE_LOG2
 from laakso.cli import _json, main
-from laakso.numeric import MAX_SCALE_LOG2
 
 
 @pytest.fixture()

@@ -6,7 +6,7 @@ import pytest
 from conftest import interval_abs, interval_add, interval_sub
 
 from laakso import Interval, ResourceLimit, ScaleFactor, iroot
-from laakso.numeric import MAX_SCALE_LOG2
+from laakso.budget import MAX_SCALE_LOG2
 
 
 def test_iroot_matches_defining_inequality():

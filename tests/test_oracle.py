@@ -48,7 +48,7 @@ class TestBuild:
         assert edges[("0:1/3", "1:1/3")] == 0
 
     def test_vertex_budget(self, s3, monkeypatch):
-        monkeypatch.setattr("laakso.oracle.MAX_VERTICES", 1000)
+        monkeypatch.setattr("laakso.budget.MAX_VERTICES", 1000)
         with pytest.raises(ResourceLimit):
             build(s3, 10)
 
@@ -58,7 +58,7 @@ class TestBuild:
         def no_heights(*args):
             raise AssertionError("grid built before the budget check")
 
-        monkeypatch.setattr("laakso.oracle.MAX_VERTICES", 1000)
+        monkeypatch.setattr("laakso.budget.MAX_VERTICES", 1000)
         monkeypatch.setattr("laakso.oracle.Fraction", no_heights)
         with pytest.raises(ResourceLimit, match="budget of 1000$"):
             build(s3, 20)
