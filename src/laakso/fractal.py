@@ -4,7 +4,7 @@ A point of the attractor is an infinite 0/1 string read left to right; the
 first digit selects the coarse half, later digits ever finer cells.  This module
 represents the eventually periodic strings as a finite prefix plus a
 repeating cycle, normalised so that equal infinite strings have equal
-representations and equality is a tuple comparison.
+representations and equality is a comparison of four ints.
 """
 
 from __future__ import annotations
@@ -29,65 +29,91 @@ class Address(Record):
     Canonical form: the cycle is primitive and rotated to its
     lexicographically least phase (the displaced digits are pushed into the
     prefix), and the prefix does not end with a whole copy of the cycle.
-    Digits are tuples of ints 0 and 1.  The period and the least phase are
-    read off the cycle as a byte string, searched and compared in C.
+    Each part is an int (digit i at bit i-1) and a length.  The period and
+    the least phase are read off the cycle's text, searched and compared in C.
     """
 
-    __slots__ = ("prefix", "cycle")
+    _fields = ("prefix", "cycle")
+    __slots__ = ("prefix_bits", "prefix_len", "cycle_bits", "cycle_len")
+    __hash__ = Record.__hash__  # of (prefix, cycle); kept beside the __eq__ below
 
     def __init__(self, prefix: tuple[int, ...], cycle: tuple[int, ...]):
         if not cycle:
             raise ValueError("cycle must be nonempty")
         if not _DIGITS.issuperset(prefix) or not _DIGITS.issuperset(cycle):
             raise ValueError("digits must be 0 or 1")
-        # the primitive period is the first shift at which the cycle recurs
-        text = bytes(cycle)
-        m = (text + text).find(text, 1)
-        # lexicographically least rotation, compensated through the prefix
-        doubled = text[:m] * 2
-        j = doubled.find(min(doubled[t:t + m] for t in range(m)))
-        self._store(prefix + cycle[:j], tuple(doubled[j:j + m]))
+        self._canonical(bytes(prefix).translate(_DIGIT_TEXT), bytes(cycle).translate(_DIGIT_TEXT))
 
-    def _store(self, pre: tuple[int, ...], cyc: tuple[int, ...]) -> "Address":
+    prefix = property(lambda self: tuple(
+        _text(self.prefix_bits, self.prefix_len).encode().translate(_DIGIT_VALUES)))
+    cycle = property(lambda self: tuple(
+        _text(self.cycle_bits, self.cycle_len).encode().translate(_DIGIT_VALUES)))
+
+    def _canonical(self, prefix, cycle) -> "Address":
+        """Store the digits of the texts (str or bytes of "0" and "1") in canonical form."""
+        # the primitive period is the first shift at which the cycle recurs
+        m = (cycle + cycle).find(cycle, 1)
+        # lexicographically least rotation, compensated through the prefix
+        doubled = cycle[:m] * 2
+        j = doubled.find(min(doubled[t:t + m] for t in range(m)))
+        prefix, cycle = prefix + cycle[:j], doubled[j:j + m]
+        return self._store(int(prefix[::-1] or "0", 2), len(prefix), int(cycle[::-1], 2), m)
+
+    def _store(self, bits: int, length: int, cycle_bits: int, cycle_len: int) -> "Address":
         """Set the parts from a canonical cycle, absorbing trailing whole copies of it."""
-        m = len(cyc)
-        while len(pre) >= m and pre[-m:] == cyc:
-            pre = pre[:-m]
-        _set_prefix(self, pre)
-        _set_cycle(self, cyc)
+        while length >= cycle_len and bits >> (length - cycle_len) == cycle_bits:
+            length -= cycle_len
+            bits ^= cycle_bits << length
+        _set_prefix_bits(self, bits)
+        _set_prefix_len(self, length)
+        _set_cycle_bits(self, cycle_bits)
+        _set_cycle_len(self, cycle_len)
         return self
+
+    def _reaching(self, n: int) -> tuple[int, int]:
+        """The prefix, extended by the fewest whole copies of the cycle that reach digit n."""
+        length, m = self.prefix_len, self.cycle_len
+        copies = max(0, -(-(n - length) // m))
+        repeat = ((1 << copies * m) - 1) // ((1 << m) - 1)  # bit c * m set for c < copies
+        return self.prefix_bits | self.cycle_bits * repeat << length, length + copies * m
 
     def digit(self, i: int) -> int:
         """The i-th digit (1-based) of the infinite expansion."""
         if i < 1:
             raise ValueError("digit positions start at 1")
-        if i <= len(self.prefix):
-            return self.prefix[i - 1]
-        return self.cycle[(i - len(self.prefix) - 1) % len(self.cycle)]
+        if i <= self.prefix_len:
+            return self.prefix_bits >> (i - 1) & 1
+        return self.cycle_bits >> ((i - self.prefix_len - 1) % self.cycle_len) & 1
 
     def switch(self, n: int) -> "Address":
         """The address with digit n flipped and all others unchanged."""
         if n < 1:
             raise ValueError("digit positions start at 1")
-        pre, cyc = self.prefix, self.cycle
-        past = n - len(pre)
-        digits = list(pre)
-        if past > 0:  # n lies in the last of the appended copies of the cycle
-            digits += cyc * -(-past // len(cyc))
-        digits[n - 1] ^= 1
-        switched = object.__new__(Address)  # the cycle is unchanged and so still canonical
-        if past <= 0:  # the flip may leave whole copies of the cycle at the end
-            return switched._store(tuple(digits), cyc)
-        # the last copy now differs from the cycle: nothing to absorb
-        _set_prefix(switched, tuple(digits))
-        _set_cycle(switched, cyc)
+        length, m, cycle = self.prefix_len, self.cycle_len, self.cycle_bits
+        if n <= length:  # the flip may leave whole copies of the cycle at the end
+            return object.__new__(Address)._store(self.prefix_bits ^ 1 << (n - 1), length, cycle, m)
+        # past the prefix: append the whole copies of the cycle that reach digit n,
+        # as _reaching does; the last of them now differs from the cycle
+        copies = -(-(n - length) // m)
+        repeat = ((1 << copies * m) - 1) // ((1 << m) - 1)
+        switched = object.__new__(Address)
+        _set_prefix_bits(switched, (self.prefix_bits | cycle * repeat << length) ^ 1 << (n - 1))
+        _set_prefix_len(switched, length + copies * m)
+        _set_cycle_bits(switched, cycle)
+        _set_cycle_len(switched, m)
         return switched
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.prefix_bits == other.prefix_bits and self.prefix_len == other.prefix_len
+                    and self.cycle_bits == other.cycle_bits and self.cycle_len == other.cycle_len)
+        return NotImplemented
 
     def __str__(self):
         return format_address(self)
 
 
-_set_prefix, _set_cycle = slot_setters(Address)
+_set_prefix_bits, _set_prefix_len, _set_cycle_bits, _set_cycle_len = slot_setters(Address)
 
 
 class DifferenceOrders(Record):
@@ -115,17 +141,22 @@ class DifferenceOrders(Record):
         return tuple(takewhile(lambda k: k < self.start, self))
 
     def between(self, lo: int, hi: int) -> Iterator[int]:
-        """The positions k with lo < k <= hi, read from those digits alone."""
-        a, b = self.a, self.b
-        return (k for k in range(lo + 1, hi + 1) if a.digit(k) != b.digit(k))
+        """The positions k with lo < k <= hi, read in windows of doubling width."""
+        a, b, width = self.a, self.b, 64
+        while lo < hi:
+            top = min(hi, lo + width)
+            bits = (a._reaching(top)[0] ^ b._reaching(top)[0]) >> lo & ((1 << (top - lo)) - 1)
+            while bits:  # the set bits, lowest first
+                yield lo + (bits & -bits).bit_length()
+                bits &= bits - 1
+            lo, width = top, 2 * width
 
     def __iter__(self) -> Iterator[int]:
         window = []
-        for k in range(1, self.start + (0 if self.is_finite else self.period)):
-            if self.a.digit(k) != self.b.digit(k):
-                yield k
-                if k >= self.start:
-                    window.append(k)
+        for k in self.between(0, self.start - 1 + (0 if self.is_finite else self.period)):
+            yield k
+            if k >= self.start:
+                window.append(k)
         shift = self.period
         while window:  # empty exactly when the set is finite
             for k in window:
@@ -143,10 +174,10 @@ def difference_orders(a: Address, b: Address) -> DifferenceOrders:
     exactly when the cycles are equal and in phase: finiteness is decided
     without reading a digit.
     """
-    m = len(a.cycle)
-    in_phase = a.cycle == b.cycle and (len(a.prefix) - len(b.prefix)) % m == 0
-    return DifferenceOrders(a, b, max(len(a.prefix), len(b.prefix)) + 1,
-                            lcm(m, len(b.cycle)), in_phase)
+    m = a.cycle_len
+    in_phase = (a.cycle_bits == b.cycle_bits and m == b.cycle_len
+                and (a.prefix_len - b.prefix_len) % m == 0)
+    return DifferenceOrders(a, b, max(a.prefix_len, b.prefix_len) + 1, lcm(m, b.cycle_len), in_phase)
 
 
 def _series_value(a: Address, u: Fraction) -> Fraction:
@@ -194,9 +225,14 @@ def value(a: Address, scale: ScaleFactor, bits: int = 64) -> Union[Fraction, Int
 
 _ADDRESS_RE = re.compile(r"^([01]*)(?:\(([01]+)\))?$")
 
-#: The ASCII digits "0" and "1" to the byte values 0 and 1, and back.
-_DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+#: The byte values 0 and 1 to the ASCII digits "0" and "1", and back.
 _DIGIT_TEXT = bytes.maketrans(b"\x00\x01", b"01")
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _text(bits: int, length: int) -> str:
+    """The first length digits held in bits, digit 1 first; a sentinel bit above them keeps zeros."""
+    return format(bits | 1 << length, "b")[:0:-1]
 
 
 def parse_address(text: str) -> Address:
@@ -207,20 +243,13 @@ def parse_address(text: str) -> Address:
     """
     match = _ADDRESS_RE.match(text)
     if match is None:
-        raise ParseError(
-            f"bad address {text!r}: expected digits in {{0,1}} with an "
-            f"optional nonempty (cycle)"
-        )
-    prefix, cycle = match.group(1), match.group(2)
-    if cycle is None:
-        if not prefix:
-            raise ParseError(f"bad address {text!r}: empty")
-        cycle = "0"
-    return Address(tuple(prefix.encode().translate(_DIGIT_VALUES)),
-                   tuple(cycle.encode().translate(_DIGIT_VALUES)))
+        raise ParseError(f"bad address {text!r}: expected digits in {{0,1}} with an "
+                         f"optional nonempty (cycle)")
+    if not text:
+        raise ParseError(f"bad address {text!r}: empty")
+    return object.__new__(Address)._canonical(*match.groups("0"))
 
 
 def format_address(a: Address) -> str:
     """The literal ``parse_address`` reads back, e.g. ``"101(0)"``."""
-    return "%s(%s)" % (bytes(a.prefix).translate(_DIGIT_TEXT).decode(),
-                       bytes(a.cycle).translate(_DIGIT_TEXT).decode())
+    return "%s(%s)" % (_text(a.prefix_bits, a.prefix_len), _text(a.cycle_bits, a.cycle_len))

@@ -350,42 +350,33 @@ def _side(h, omega: Union[Fraction, Interval]) -> int:
     return 1 if lo_gap >= 0 and hi_gap > 0 else -1 if hi_gap <= 0 and lo_gap < 0 else 0
 
 
-def _append_segment(moves: list, address: Address, h_from, h_to):
-    """Record the run from h_from to h_to, unless it is empty or hidden by a tail (None)."""
-    if h_from is not None and _cmp(h_from, h_to):
-        moves.append(Segment(address, h_from, h_to))
-
-
-def _jump(moves: list, address: Address, h, level: WormholeLevel) -> tuple[Address, WormholeLevel]:
-    """Record the run from h to level and the jump there; return the new address and height."""
-    _append_segment(moves, address, h, level)
-    switched = address.switch(level.order)
-    moves.append(Jump(level, address, switched))
-    return switched, level
-
-
 def _route(start: Point, end: Point, address: Address, end_address: Address,
            levels, omega: Union[Fraction, Interval, None], post) -> list:
     """The moves from start, at address, to end, at end_address.
 
     A run and a jump reach each level, then (unless omega is None) the
     tail and each post level beyond it; a last run reaches the end height.
+    A run is left out where it is empty, or hidden by a tail (h is None).
     """
     moves: list = []
     h = start.height
-    for level in levels:
-        address, h = _jump(moves, address, h, level)
-    if omega is not None:
-        moves.append(omega)
-        address = end_address
-        for level in post:
-            address = address.switch(level.order)  # undo the post flips: limit address
-        # past a certified enclosure the run up to the first post move stays
-        # implicit; everything after it is exact
-        h = None if isinstance(omega, Interval) else omega
-        for level in post:
-            address, h = _jump(moves, address, h, level)
-    _append_segment(moves, address, h, end.height)
+    for level in chain(levels, () if omega is None else (omega, *post)):
+        if level is omega:
+            moves.append(omega)
+            address = end_address
+            for undone in post:
+                address = address.switch(undone.order)  # undo the post flips: limit address
+            # past a certified enclosure the run up to the first post move stays
+            # implicit; everything after it is exact
+            h = None if isinstance(omega, Interval) else omega
+            continue
+        if h is not None and _cmp(h, level):
+            moves.append(Segment(address, h, level))
+        switched = address.switch(level.order)
+        moves.append(Jump(level, address, switched))
+        address, h = switched, level
+    if h is not None and _cmp(h, end.height):
+        moves.append(Segment(address, h, end.height))
     if address != end_address:
         raise InvariantViolation("path ends at the wrong address")
     return moves
@@ -400,16 +391,14 @@ def _flip(move):
     return move
 
 
-def _assemble(start: Point, end: Point, moves: list) -> PathRep:
-    """The PathRep of a move list: the moves before the limit, its Tail, the moves after it."""
-    for split, move in enumerate(moves):
-        if not isinstance(move, (Segment, Jump)):  # the limit
-            break
-    else:
+def _assemble(start: Point, end: Point, moves: list, omega) -> PathRep:
+    """The PathRep of a move list: the moves before the limit omega, its Tail, the moves after it."""
+    if omega is None:
         return PathRep(start, end, tuple(moves))
-    items = tuple(moves[:split])
-    tail = Tail(move, sum(isinstance(e, Jump) for e in items))
-    return PathRep(start, end, items, tail, tuple(moves[split + 1:]))
+    kinds = [*map(type, moves)]  # the limit is the one move of its type
+    split = kinds.index(type(omega))
+    tail = Tail(omega, kinds[:split].count(Jump))
+    return PathRep(start, end, tuple(moves[:split]), tail, tuple(moves[split + 1:]))
 
 
 def _resting(point: Point) -> PathRep:
@@ -447,7 +436,7 @@ def geodesic_path(space: Space, x: Point, y: Point, depth: int = 8,
     moves = _route(low, high, low.address, high.address, pre, omega, post)
     if low is not x:
         moves = [_flip(move) for move in reversed(moves)]
-    return _assemble(x, y, moves)
+    return _assemble(x, y, moves, omega)
 
 
 # ---------------------------------------------------------------------------
@@ -497,19 +486,21 @@ def connect(space: Space, x: Point, y: Point, strategy: str = NEAREST, depth: in
         if omega is None:
             raise InvariantViolation("connect's limit lies outside [0, 1]")
         break
-    return _assemble(x, y, _route(x, y, start_address, end_address, levels, omega, ()))
+    return _assemble(x, y, _route(x, y, start_address, end_address, levels, omega, ()), omega)
 
 
 # ---------------------------------------------------------------------------
 # measurements over paths
 
 
-def _heights(elements) -> list:
-    out: list = []
+def _heights(elements, out: list) -> list:
+    """out and the heights the moves pass, less repeats of the last one: they add |h - h| = 0."""
     for element in elements:
         if isinstance(element, Segment):
-            out += (element.start, element.end)
-        else:
+            if element.start is not out[-1]:
+                out.append(element.start)
+            out.append(element.end)
+        elif element.level is not out[-1]:
             out.append(element.level)
     return out
 
@@ -528,20 +519,17 @@ def path_length(path: PathRep) -> Union[Fraction, Interval]:
     otherwise the enclosure that omega's enclosure gives.  Every height is
     taken over one common unit, so the sum is integer arithmetic.
     """
-    heights = [path.start.height, *_heights(path.items)]
+    heights = _heights(path.items, [path.start.height])
     cut = len(heights)
-    heights += _heights(path.post)
+    heights += _heights(path.post, [None])[1:]
     heights.append(path.end.height)
     if path.tail is not None:
         omega = path.tail.omega
         heights += (omega.lo, omega.hi) if isinstance(omega, Interval) else (omega, omega)
     dens = {h.denominator for h in heights}
-    common = max(dens)
-    for den in dens:
-        if common % den:  # level denominators D_k divide the deepest one
-            common = lcm(common, den)
-    factor = {den: common // den for den in dens}
-    scaled = [h.numerator * factor[h.denominator] for h in heights]
+    common = max(dens)  # level denominators D_k divide the deepest one
+    common = lcm(common, *[den for den in dens if common % den])
+    scaled = [h.numerator * (common // h.denominator) for h in heights]
     if path.tail is None:
         return Fraction(_run(scaled), common)
     hi = scaled.pop()
@@ -570,8 +558,8 @@ def classify(path: PathRep) -> tuple[str, tuple[str, ...]]:
     """
     steps = [m.direction if isinstance(m, Segment) else None for m in path.items]  # None: a jump
     if path.tail is not None:
-        last_h = (_heights(path.items[-1:]) or [path.start.height])[-1]
-        next_h = (_heights(path.post[:1]) or [path.end.height])[0]
+        last_h = _heights(path.items[-1:], [path.start.height])[-1]
+        next_h = (_heights(path.post[:1], [None])[1:] or [path.end.height])[0]
         steps += (_side(last_h, path.tail.omega), -_side(next_h, path.tail.omega))
     steps += (m.direction if isinstance(m, Segment) else None for m in path.post)
     outs, out = [], 0  # the direction after each jump, found from the end

@@ -95,9 +95,7 @@ def build(space: Space, depth: int, extra_heights=()) -> ApproxGraph:
 
 
 def _column(graph: ApproxGraph, address: Address) -> int:
-    pre, cyc = address.prefix, address.cycle  # as many cycle copies as reach digit K
-    digits = (pre + cyc * -(-(graph.depth - len(pre)) // len(cyc)))[:graph.depth]
-    return sum(digit << j for j, digit in enumerate(digits))
+    return address._reaching(graph.depth)[0] & ((1 << graph.depth) - 1)  # the first K digits
 
 
 def _vertex(graph: ApproxGraph, p: Point) -> tuple[int, int]:
@@ -238,8 +236,8 @@ def iter_edges(graph: ApproxGraph) -> Iterator[tuple[str, str, Fraction]]:
 def point_at(graph: ApproxGraph, column: int, hidx: int) -> Point:
     """The canonical point represented by a graph vertex."""
     column &= ~graph.flips[hidx]  # as Space.point clears a level's digit; digits past K are 0
-    digits = tuple((column >> j) & 1 for j in range(column.bit_length()))  # canonical: ends in 1
-    return Point(object.__new__(Address)._store(digits, (0,)), graph.heights[hidx])
+    address = object.__new__(Address)._store(column, column.bit_length(), 0, 1)  # ends in 1
+    return Point(address, graph.heights[hidx])
 
 
 def agreement_check(space: Space, depth: int, samples: int,

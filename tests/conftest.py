@@ -1,12 +1,15 @@
 import random
+import re
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, takewhile
+from math import lcm
 
 import pytest
 
 from laakso import (Address, InfeasibleSequence, Interval, InvariantViolation, Jump, MSequence,
                     Point, ScaleFactor, Segment, Space, WormholeLevel, classify_height,
                     difference_orders, first_in_interval)
+from laakso.record import Record
 from laakso.wormhole import level_from_numerator, snap
 
 
@@ -315,3 +318,96 @@ def stepwise_length(path):
             current = height
     total = step(total, current, path.end.height)
     return total.lo if isinstance(total, Interval) and total.lo == total.hi else total
+
+
+# ---------------------------------------------------------------------------
+# the tuple-backed address that bit strings replaced, kept as a reference
+
+
+class TupleAddress(Record):
+    """An address with its digits held as tuples of ints, canonical as ``Address`` is."""
+
+    __slots__ = ("prefix", "cycle")
+
+    def __init__(self, prefix: tuple[int, ...], cycle: tuple[int, ...]):
+        text = bytes(cycle)
+        m = (text + text).find(text, 1)  # the primitive period
+        doubled = text[:m] * 2
+        j = doubled.find(min(doubled[t:t + m] for t in range(m)))  # the least rotation
+        self._store(prefix + cycle[:j], tuple(doubled[j:j + m]))
+
+    def _store(self, pre: tuple[int, ...], cyc: tuple[int, ...]) -> "TupleAddress":
+        m = len(cyc)
+        while len(pre) >= m and pre[-m:] == cyc:
+            pre = pre[:-m]
+        object.__setattr__(self, "prefix", pre)
+        object.__setattr__(self, "cycle", cyc)
+        return self
+
+    def digit(self, i: int) -> int:
+        if i <= len(self.prefix):
+            return self.prefix[i - 1]
+        return self.cycle[(i - len(self.prefix) - 1) % len(self.cycle)]
+
+    def switch(self, n: int) -> "TupleAddress":
+        pre, cyc = self.prefix, self.cycle
+        past = n - len(pre)
+        digits = list(pre)
+        if past > 0:  # n lies in the last of the appended copies of the cycle
+            digits += cyc * -(-past // len(cyc))
+        digits[n - 1] ^= 1
+        return object.__new__(TupleAddress)._store(tuple(digits), cyc)
+
+
+class TupleDifferenceOrders:
+    """The differing positions of two ``TupleAddress`` values, read one digit at a time."""
+
+    def __init__(self, a: TupleAddress, b: TupleAddress):
+        m = len(a.cycle)
+        self.a, self.b = a, b
+        self.start = max(len(a.prefix), len(b.prefix)) + 1
+        self.period = lcm(m, len(b.cycle))
+        self.is_finite = a.cycle == b.cycle and (len(a.prefix) - len(b.prefix)) % m == 0
+
+    @property
+    def head(self) -> tuple[int, ...]:
+        return tuple(takewhile(lambda k: k < self.start, self))
+
+    def between(self, lo: int, hi: int):
+        return (k for k in range(lo + 1, hi + 1) if self.a.digit(k) != self.b.digit(k))
+
+    def __iter__(self):
+        window = []
+        for k in range(1, self.start + (0 if self.is_finite else self.period)):
+            if self.a.digit(k) != self.b.digit(k):
+                yield k
+                if k >= self.start:
+                    window.append(k)
+        shift = self.period
+        while window:
+            for k in window:
+                yield k + shift
+            shift += self.period
+
+
+def tuple_parse(text: str) -> TupleAddress:
+    """``parse_address`` on the reference, for literals it accepts."""
+    prefix, cycle = re.fullmatch(r"([01]*)(?:\(([01]+)\))?", text).groups("0")
+    return TupleAddress(tuple(map(int, prefix)), tuple(map(int, cycle)))
+
+
+def tuple_format(a: TupleAddress) -> str:
+    return "%s(%s)" % ("".join(map(str, a.prefix)), "".join(map(str, a.cycle)))
+
+
+def tuple_column(depth: int, a: TupleAddress) -> int:
+    """``oracle._column``: the first depth digits as a mask, digit j at bit j-1."""
+    pre, cyc = a.prefix, a.cycle
+    digits = (pre + cyc * -(-(depth - len(pre)) // len(cyc)))[:depth]
+    return sum(digit << j for j, digit in enumerate(digits))
+
+
+def tuple_point_address(column: int) -> TupleAddress:
+    """The address ``oracle.point_at`` gives a column whose flipped bit is already cleared."""
+    digits = tuple((column >> j) & 1 for j in range(column.bit_length()))
+    return object.__new__(TupleAddress)._store(digits, (0,))

@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 from itertools import islice, takewhile
 from math import lcm
 
@@ -16,7 +17,10 @@ from laakso import (
     parse_address,
     value,
 )
-from conftest import random_address
+from laakso.oracle import _column, build, point_at
+from laakso.space import Space
+from conftest import (TupleAddress, TupleDifferenceOrders, random_address, tuple_column,
+                      tuple_format, tuple_parse, tuple_point_address)
 
 ZERO = Address((), (0,))
 ONE = Address((), (1,))
@@ -388,3 +392,86 @@ class TestParsing:
     def test_rejects(self, bad):
         with pytest.raises(ParseError):
             parse_address(bad)
+
+
+def _agrees_with_reference(a: Address, ref: TupleAddress) -> None:
+    """Every reading of a matches the tuple-backed reference holding the same string."""
+    assert (a.prefix, a.cycle) == (ref.prefix, ref.cycle)
+    assert repr(a) == repr(ref).replace("TupleAddress(", "Address(", 1)
+    assert hash(a) == hash(ref) == hash((ref.prefix, ref.cycle))
+    assert a == Address(ref.prefix, ref.cycle)
+    reach = len(ref.prefix) + 2 * len(ref.cycle) + 1
+    assert [a.digit(i) for i in range(1, reach + 1)] == [ref.digit(i) for i in range(1, reach + 1)]
+    text = format_address(a)
+    assert text == tuple_format(ref) and parse_address(text) == a
+    for depth in (1, len(ref.prefix), len(ref.prefix) + 1, reach, 100):
+        if depth:
+            assert _column(SimpleNamespace(depth=depth), a) == tuple_column(depth, ref)
+
+
+class TestAgainstTupleReference:
+    """Addresses held as bit strings against the tuple-backed reference in conftest."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 1), max_size=40),
+           st.lists(st.integers(0, 1), min_size=1, max_size=12),
+           st.lists(st.integers(1, 400), max_size=5),
+           st.lists(st.integers(0, 1), max_size=40),
+           st.lists(st.integers(0, 1), min_size=1, max_size=12),
+           st.integers(0, 11), st.booleans())
+    def test_canonical_form_switches_and_literals_agree(self, prefix, cycle, flips, other_prefix,
+                                                        other_cycle, turn, twin):
+        literal = "%s(%s)" % ("".join(map(str, prefix)), "".join(map(str, cycle)))
+        a, ref = parse_address(literal), tuple_parse(literal)
+        assert a == Address(tuple(prefix), tuple(cycle))
+        _agrees_with_reference(a, ref)
+        for n in flips:  # each switch from the last, flips up to 400 digits deep
+            a, ref = a.switch(n), ref.switch(n)
+            _agrees_with_reference(a, ref)
+        if twin:  # the same string, a turn of the cycle moved into the prefix and the cycle doubled
+            turn %= len(ref.cycle)
+            other_prefix = ref.prefix + ref.cycle[:turn]
+            other_cycle = (ref.cycle[turn:] + ref.cycle[:turn]) * 2
+        b = Address(tuple(other_prefix), tuple(other_cycle))
+        ref_b = TupleAddress(tuple(other_prefix), tuple(other_cycle))
+        _agrees_with_reference(b, ref_b)
+        assert (a == b) == (ref == ref_b) and (a != b) == (ref != ref_b)
+        assert twin <= (a == b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 1), max_size=40),
+           st.lists(st.integers(0, 1), min_size=1, max_size=12),
+           st.lists(st.integers(0, 1), max_size=40),
+           st.lists(st.integers(0, 1), min_size=1, max_size=12),
+           st.lists(st.integers(1, 400), max_size=3),
+           st.integers(0, 400), st.integers(0, 400))
+    def test_difference_orders_agree(self, prefix, cycle, other_prefix, other_cycle, flips,
+                                     lo, width):
+        a, ref = Address(tuple(prefix), tuple(cycle)), TupleAddress(tuple(prefix), tuple(cycle))
+        b = Address(tuple(other_prefix), tuple(other_cycle))
+        ref_b = TupleAddress(tuple(other_prefix), tuple(other_cycle))
+        if flips:  # b is a with the flips made, so the two differ at finitely many digits
+            b, ref_b = a, ref
+            for n in flips:
+                b, ref_b = b.switch(n), ref_b.switch(n)
+        for x, y, ref_x, ref_y in ((a, b, ref, ref_b), (b, a, ref_b, ref)):
+            diffs, expected = difference_orders(x, y), TupleDifferenceOrders(ref_x, ref_y)
+            assert (diffs.is_finite, diffs.start, diffs.period) == \
+                (expected.is_finite, expected.start, expected.period)
+            assert diffs.head == expected.head
+            end = diffs.start + 2 * diffs.period  # the first two period windows
+            assert list(takewhile(lambda k: k < end, diffs)) == \
+                list(takewhile(lambda k: k < end, expected))
+            assert list(diffs.between(lo, lo + width)) == list(expected.between(lo, lo + width))
+
+    @pytest.mark.parametrize("ratio, override, depth",
+                             [(3, (), 4), (3, (4, 3, 3), 3), (Fraction(7, 2), (), 3)])
+    def test_oracle_vertices_agree(self, ratio, override, depth):
+        graph = build(Space.from_ratio(ratio, m_override=override), depth)
+        for column in range(1 << depth):
+            for hidx, height in enumerate(graph.heights):
+                point = point_at(graph, column, hidx)
+                ref = tuple_point_address(column & ~graph.flips[hidx])
+                _agrees_with_reference(point.address, ref)
+                assert point.height == height
+                assert _column(graph, point.address) == column & ~graph.flips[hidx]

@@ -14,6 +14,7 @@ from laakso import (
     Interval,
     Jump,
     MinimalInterval,
+    Point,
     Segment,
     Space,
     WormholeLevel,
@@ -27,7 +28,8 @@ from laakso import (
     minimal_interval,
     path_length,
 )
-from laakso.geodesic import INVERSION, MONOTONE_DOWN, MONOTONE_UP, OSCILLATING, _limit, validate
+from laakso.geodesic import (INVERSION, MONOTONE_DOWN, MONOTONE_UP, OSCILLATING, PathRep, Tail,
+                             _limit, validate)
 from laakso.wormhole import snap
 from conftest import (CLOSED_FORM_SPACES, random_address, random_point, reference_interval,
                       reference_limit, seeded_pairs, stepwise_length)
@@ -663,6 +665,56 @@ def test_path_length_matches_stepwise_sum(request, name):
             assert length == stepwise_length(path)
             enclosures += isinstance(length, Interval)
     assert enclosures or name == "s3"
+
+
+def test_path_length_of_hand_built_paths_matches_stepwise_sum():
+    # path_length lists each height once where a move starts on the object the
+    # move before it ended on; here consecutive heights are often equal values
+    # held by different objects (a Fraction, an int, a level), and segments
+    # often start somewhere other than where the path stands
+    rng = random.Random(89)
+    address = Address((1, 0), (0, 1))
+
+    def fresh(j: int):
+        """j/27 as a new object of one of the types a path holds heights in."""
+        kind = rng.randrange(3)
+        if kind == 0:
+            return WormholeLevel(3, j, 27)
+        return j // 27 if kind == 1 and j % 27 == 0 else Fraction(j, 27)
+
+    def moves(here, count: int) -> tuple[tuple, object]:
+        """count moves from the height here, and the height they end on."""
+        out = []
+        for _ in range(count):
+            kind = rng.randrange(3)  # where the move starts: here, at an equal value, elsewhere
+            start = here if kind == 0 else fresh(rng.randint(0, 27) if kind == 2 else
+                                                 here.numerator * 27 // here.denominator)
+            if rng.random() < 0.4:
+                j = start.numerator * 27 // start.denominator
+                here = start if isinstance(start, WormholeLevel) else WormholeLevel(3, j, 27)
+                out.append(Jump(here, address, address))
+            else:
+                here = fresh(rng.randint(0, 27))
+                out.append(Segment(address, start, here))
+        return tuple(out), here
+
+    tails = 0
+    for _ in range(600):
+        start = Point(address, Fraction(rng.randint(0, 27), 27))
+        end = Point(address, Fraction(rng.randint(0, 27), 27))
+        items, here = moves(start.height, rng.randint(0, 8))
+        tail, post = None, ()
+        if rng.random() < 0.6:
+            lo = Fraction(rng.randint(0, 27), 27)
+            omega = Interval(lo, lo + Fraction(rng.randint(0, 5), 81)) if rng.random() < 0.5 else lo
+            # the moves past the tail resume from its far side, or from the very
+            # object the moves before it ended on
+            beyond = rng.choice([here, omega.hi if isinstance(omega, Interval) else omega])
+            tail, (post, _) = Tail(omega, rng.randint(0, 9)), moves(beyond, rng.randint(0, 4))
+            tails += 1
+        path = PathRep(start, end, items, tail, post)
+        assert path_length(path) == stepwise_length(path), path
+    assert 300 < tails < 600
 
 
 def test_validate_checks_survive_optimisation():

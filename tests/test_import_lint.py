@@ -5,7 +5,8 @@ distance`` spends on its answer.  The records are ``__slots__`` classes on
 ``record.Record``; a static check over the ast of ``src/laakso`` keeps
 ``dataclasses`` out, and ``typing.NamedTuple`` and ``collections.namedtuple``
 too, which generate their methods with ``eval`` at import.  A fresh
-interpreter confirms that neither ``dataclasses`` nor ``inspect`` is loaded.
+interpreter confirms that neither ``dataclasses`` nor ``inspect`` is loaded,
+and that ``import laakso`` loads the nine core modules and no others.
 """
 
 import ast
@@ -68,3 +69,17 @@ def test_a_fresh_interpreter_loads_neither_dataclasses_nor_inspect():
                             env=env, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == ""
+
+
+def test_a_fresh_interpreter_loads_the_nine_core_modules_and_no_more():
+    # start-up compiles every module import laakso loads; the oracle, the CLI
+    # and the renderer load only when asked for
+    probe = "import sys, laakso\nprint(*sorted(m for m in sys.modules if m.split('.')[0] == 'laakso'))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == [
+        "laakso", "laakso.budget", "laakso.errors", "laakso.fractal", "laakso.geodesic",
+        "laakso.numeric", "laakso.record", "laakso.space", "laakso.wormhole",
+    ]
