@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 import laakso
-from laakso import Address, NotRepresentable, ResourceLimit, Space, distance
+from laakso import (Address, Jump, NotRepresentable, ResourceLimit, Space, distance, geodesic_path,
+                    path_length)
 from laakso.oracle import (
     agreement_check,
     build,
@@ -419,3 +420,54 @@ class TestVertexPoints:
             digits = sum(1 << (j - 1) for j in range(1, 5) if address.digit(j))
             assert _column(graph, address) == digits
         assert lengths == {False, True}
+
+
+#: (space fixture, depth) of the geodesic-vertex check.
+GEODESIC_GRAPHS = [("s3", 4), ("s72", 3), ("q13", 2), ("s3_433", 3)]
+
+
+class TestGeodesicVertices:
+    """Geodesics checked point by point against the graph, with no closed form.
+
+    A vertex p lies on a shortest graph path from x to y exactly when
+    d_G(x, p) + d_G(p, y) = d_G(x, y), and one search from each end gives
+    both terms for every p.
+    """
+
+    @staticmethod
+    def vertices(space, path) -> set:
+        """The canonical points of every segment end and jump of a path."""
+        points = set()
+        for move in path.items:
+            if isinstance(move, Jump):
+                points.add(space.point(move.from_address, move.height))
+            else:
+                points.add(space.point(move.address, move.h_start))
+                points.add(space.point(move.address, move.h_end))
+        return points
+
+    @pytest.mark.parametrize("name,depth", GEODESIC_GRAPHS)
+    def test_every_vertex_lies_on_a_graph_geodesic(self, request, name, depth):
+        space = request.getfixturevalue(name)
+        graph = build(space, depth)
+        columns, rows = 1 << depth, len(graph.heights)
+        rng = random.Random(f"{name}/geodesic-vertices")
+        pairs = checked = 0
+        off = []
+        while pairs < 100:
+            x, y = (point_at(graph, rng.randrange(columns), rng.randrange(rows)) for _ in "xy")
+            if x == y:
+                continue
+            pairs += 1
+            from_x = shortest_paths(graph, _vertex(graph, x))
+            from_y = shortest_paths(graph, _vertex(graph, y))
+            span = from_x[_vertex(graph, y)]
+            path = geodesic_path(space, x, y, 8)
+            # both addresses end in zeros, so they differ at orders up to K only
+            assert path.tail is None and path_length(path) == span
+            for p in self.vertices(space, path):
+                vertex = _vertex(graph, p)
+                checked += 1
+                if from_x[vertex] + from_y[vertex] != span:
+                    off.append((x, y, p))
+        assert off == [] and checked > 2 * pairs
