@@ -35,7 +35,6 @@ class Address(Record):
 
     _fields = ("prefix", "cycle")
     __slots__ = ("prefix_bits", "prefix_len", "cycle_bits", "cycle_len")
-    __hash__ = Record.__hash__  # of (prefix, cycle); kept beside the __eq__ below
 
     def __init__(self, prefix: tuple[int, ...], cycle: tuple[int, ...]):
         if not cycle:
@@ -108,6 +107,9 @@ class Address(Record):
             return (self.prefix_bits == other.prefix_bits and self.prefix_len == other.prefix_len
                     and self.cycle_bits == other.cycle_bits and self.cycle_len == other.cycle_len)
         return NotImplemented
+
+    def __hash__(self):
+        return hash((self.prefix_bits, self.prefix_len, self.cycle_bits, self.cycle_len))
 
     def __str__(self):
         return format_address(self)

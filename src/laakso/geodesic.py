@@ -26,7 +26,7 @@ between two distinct levels there is a level of every higher order.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import islice
 from math import lcm
 from operator import sub
 from typing import Optional, Union
@@ -42,8 +42,6 @@ from .wormhole import (
     WormholeLevel,
     bracket,
     classify_height,
-    first_in_interval,
-    last_in_interval,
     nearest,
     snap,
 )
@@ -189,24 +187,22 @@ _set_low, _set_high, _set_unit, _set_witnesses = slot_setters(MinimalInterval)
 # minimal interval and distance
 
 
-def minimal_interval(space: Space, x: Point, y: Point, orders=None) -> MinimalInterval:
+def minimal_interval(space: Space, x: Point, y: Point) -> MinimalInterval:
     """The shortest height interval supporting a path between x and y.
 
-    Scans the required orders ascending.  An order already witnessed inside
-    the current interval costs nothing; an unsatisfied order extends the
-    interval either down or up to the nearest level, and both extensions
-    are kept as branches.  After two orders every branch holds witnesses of
-    two distinct orders, and the nesting property supplies every higher
-    required order in between, so at most the first two orders matter.
-    The best branch wins: minimal width, then smaller b, compared over one
-    unit, the lcm of the height denominators and D_k2.  ``orders``, if
-    given, is an iterator over the difference orders, and is left at the
-    third.
+    Takes the first two difference orders of x and y, ascending.  An order
+    already witnessed inside the current interval costs nothing; an
+    unsatisfied order extends the interval either down or up to the nearest
+    level, and both extensions are kept as branches.  After two orders
+    every branch holds witnesses of two distinct orders, and the nesting
+    property supplies every higher required order in between, so no later
+    order is read.  The best branch wins: minimal width, then smaller b,
+    compared over one unit, the lcm of the height denominators and D_k2.
     """
     if x == y:
         raise ValueError("minimal interval undefined for equal points")
     ms = space.mseq
-    required = list(islice(orders or iter(difference_orders(x.address, y.address)), 2))
+    required = list(islice(difference_orders(x.address, y.address), 2))
     lo, hi = (x.height, y.height) if x.height <= y.height else (y.height, x.height)
     # a candidate: its bounds as numerators over their denominators, and a
     # witness per order as the level's (order, numerator, D_order)
@@ -283,37 +279,38 @@ def _limit(ms: MSequence, diffs: DifferenceOrders, order: int, h,
     return Fraction(omega, den)
 
 
-def _sweep_levels(space: Space, lo: Fraction, hi: Fraction, diffs: DifferenceOrders, orders,
+def _sweep_levels(space: Space, lo: Fraction, hi: Fraction, diffs: DifferenceOrders,
                   at_lo: list[WormholeLevel], at_hi: list[WormholeLevel], depth: int):
-    """Pick one level inside [lo, hi] per required order, placed in height order.
+    """Pick one level inside [lo, hi] per difference order, placed in height order.
 
-    The witnesses at lo and at hi come first and last.  The other orders,
-    from ``orders`` (those of ``diffs``, ascending), each either continue
-    the rising chain (least level at or above the current height) or drop
-    in below its top as a straggler.  Returns the levels below the
-    accumulation, the accumulation height (None when the set is finite),
-    and the levels at or above it.
+    The witnesses at lo and at hi come first and last.  Every other order
+    of ``diffs``, ascending, either continues the rising chain with the
+    least level at or above its top, if that lies at or below hi, or drops
+    in below the top as a straggler, the greatest level at or below it;
+    one rounding at the top finds both.  Returns the levels, with the
+    accumulation height right after the levels below it, and that height
+    (None when the set is finite).
     """
     ms = space.mseq
     anchored = {w.order for w in at_lo + at_hi}
     placed: list[WormholeLevel] = []
     top = lo  # the top of the chain, and the last level placed
     omega: Union[Fraction, Interval, None] = None
-    for order in orders:
+    for order in diffs:
         if order in anchored:
             continue
-        level = first_in_interval(ms, order, top, hi)
-        if level is not None:
-            top = level
-            placed.append(level)
-        else:
-            level = last_in_interval(ms, order, lo, top)
-            if level is None:
-                raise InvariantViolation("minimal interval misses a required order")
+        den, m_k = ms.grid(order)
+        below, above = bracket(den, m_k, top.numerator, top.denominator)  # -1 or den + 1: none
+        if above * hi.denominator <= hi.numerator * den:
+            top = WormholeLevel(order, above, den)
+            placed.append(top)
+        elif below * lo.denominator >= lo.numerator * den:
             # every placed level has a lower order, and by the nesting property
             # two of them enclose an order-k level: the last under the top lies
             # above every level placed before the top, earlier stragglers too
-            placed.insert(len(placed) - 1, level)
+            placed.insert(len(placed) - 1, WormholeLevel(order, below, den))
+        else:
+            raise InvariantViolation("minimal interval misses a required order")
         if diffs.is_finite or len(placed) < depth:
             continue
         omega = _limit(ms, diffs, order, top, hi)
@@ -321,18 +318,14 @@ def _sweep_levels(space: Space, lo: Fraction, hi: Fraction, diffs: DifferenceOrd
             break
         if len(placed) > depth + 512:
             raise InvariantViolation("sweep did not stabilise")  # unreachable
-    placed = at_lo + placed + at_hi
-    if omega is None:
-        return placed, None, []
-    # materialized chain levels sit below an exact limit (reach -1), and at
-    # or below the floor of an enclosure (reach 0), as _cmp(w, edge) tells
-    edge, reach = (omega.lo, 0) if isinstance(omega, Interval) else (omega, -1)
-    split = 0
-    for w in placed:
-        if _cmp(w, edge) > reach:
-            break
-        split += 1
-    return placed[:split], omega, placed[split:]
+    levels = at_lo + placed + at_hi
+    if omega is not None:
+        # materialized chain levels sit below an exact limit (reach -1), and at
+        # or below the floor of an enclosure (reach 0), as _cmp(w, edge) tells;
+        # the levels rise, so those are the first ones
+        edge, reach = (omega.lo, 0) if isinstance(omega, Interval) else (omega, -1)
+        levels.insert(sum(_cmp(w, edge) <= reach for w in levels), omega)
+    return levels, omega
 
 
 # ---------------------------------------------------------------------------
@@ -351,22 +344,22 @@ def _side(h, omega: Union[Fraction, Interval]) -> int:
 
 
 def _route(start: Point, end: Point, address: Address, end_address: Address,
-           levels, omega: Union[Fraction, Interval, None], post) -> list:
+           levels: list, omega: Union[Fraction, Interval, None]) -> list:
     """The moves from start, at address, to end, at end_address.
 
-    A run and a jump reach each level, then (unless omega is None) the
-    tail and each post level beyond it; a last run reaches the end height.
-    A run is left out where it is empty, or hidden by a tail (h is None).
+    A run and a jump reach each of ``levels`` in turn, a tail the limit
+    omega among them, and a last run the end height.  A run is left out
+    where it is empty, or hidden by a tail (h is None).
     """
     moves: list = []
     h = start.height
-    for level in chain(levels, () if omega is None else (omega, *post)):
+    for i, level in enumerate(levels):
         if level is omega:
             moves.append(omega)
             address = end_address
-            for undone in post:
-                address = address.switch(undone.order)  # undo the post flips: limit address
-            # past a certified enclosure the run up to the first post move stays
+            for undone in levels[i + 1:]:
+                address = address.switch(undone.order)  # undo the flips past it: limit address
+            # past a certified enclosure the run up to the next level stays
             # implicit; everything after it is exact
             h = None if isinstance(omega, Interval) else omega
             continue
@@ -422,18 +415,14 @@ def geodesic_path(space: Space, x: Point, y: Point, depth: int = 8,
     if x == y:
         return _resting(x)
     low, high = (x, y) if x.height <= y.height else (y, x)
-    diffs = difference_orders(low.address, high.address)
-    orders = iter(diffs)  # one scan: the interval takes two orders, the sweep the rest
     if interval is None:
-        interval = minimal_interval(space, low, high, orders)
-    else:  # the orders the interval took, one per witness
-        orders = islice(orders, len(interval.witnesses), None)
+        interval = minimal_interval(space, low, high)
     a, b = interval.a, interval.b
     at_a = [w for _, w in interval.witnesses if a < low.height and _cmp(w, a) == 0]
     at_b = [w for _, w in interval.witnesses if b > high.height and _cmp(w, b) == 0]
-    orders = chain((order for order, _ in interval.witnesses), orders)  # the interval's, the rest
-    pre, omega, post = _sweep_levels(space, a, b, diffs, orders, at_a, at_b, depth)
-    moves = _route(low, high, low.address, high.address, pre, omega, post)
+    diffs = difference_orders(low.address, high.address)
+    levels, omega = _sweep_levels(space, a, b, diffs, at_a, at_b, depth)
+    moves = _route(low, high, low.address, high.address, levels, omega)
     if low is not x:
         moves = [_flip(move) for move in reversed(moves)]
     return _assemble(x, y, moves, omega)
@@ -471,7 +460,7 @@ def connect(space: Space, x: Point, y: Point, strategy: str = NEAREST, depth: in
     # sweeps, down towards 0 otherwise
     upward = y.height >= x.height
     rising = strategy == NEAREST or upward
-    levels: list[WormholeLevel] = []
+    levels: list = []  # the levels, then the limit, if any
     omega: Union[Fraction, Interval, None] = None
     h = x.height
     for count, order in enumerate(diffs, 1):
@@ -485,8 +474,9 @@ def connect(space: Space, x: Point, y: Point, strategy: str = NEAREST, depth: in
         omega = _limit(ms, diffs, order, h, int(rising))
         if omega is None:
             raise InvariantViolation("connect's limit lies outside [0, 1]")
+        levels.append(omega)
         break
-    return _assemble(x, y, _route(x, y, start_address, end_address, levels, omega, ()), omega)
+    return _assemble(x, y, _route(x, y, start_address, end_address, levels, omega), omega)
 
 
 # ---------------------------------------------------------------------------
