@@ -174,6 +174,7 @@ class TestClosedForm:
             assert all(w.denominator == space.mseq.D(k) for k, w in interval.witnesses)
             assert repr(interval) == f"MinimalInterval(a={a!r}, b={b!r}, witnesses={witnesses!r})"
             assert distance(space, x, y) == 2 * (b - a) - abs(y.height - x.height)
+            assert distance(space, y, x) == distance(space, x, y)
             diffs = difference_orders(x.address, y.address)
             seen["infinite"] += not diffs.is_finite
             seen["deep order"] += next(iter(diffs), 0) > 40
@@ -323,6 +324,21 @@ class TestWork:
             before = fraction_count()
             distance(space, x, y)
             assert fraction_count() - before <= 1
+
+    @pytest.mark.parametrize("name", CLOSED_FORM_SPACES)
+    def test_distance_builds_no_interval_or_level(self, request, name, monkeypatch):
+        # the distance reads the search's integers: neither the interval
+        # record nor a witness level is built on the way
+        space = request.getfixturevalue(name)
+        pairs = seeded_pairs(space, random.Random(f"{name}/records"), 60)
+        want = [distance(space, x, y) for x, y in pairs]  # grows the branching sequence first
+
+        def refused(self, *args):
+            raise AssertionError(f"{type(self).__name__} built")
+
+        monkeypatch.setattr(MinimalInterval, "__init__", refused)
+        monkeypatch.setattr(WormholeLevel, "__init__", refused)
+        assert [distance(space, x, y) for x, y in pairs] == want
 
     def test_geodesic_reads_each_order_once(self, s3, monkeypatch):
         # the interval's scan and the sweep's take the orders from bit windows
