@@ -66,6 +66,26 @@ def check_printable(n: int, k: int, what: str) -> None:
         raise _unprintable(what)
 
 
+def check_exponent(literal: str) -> None:
+    """Refuse a literal ``...e<N>`` before ``Fraction`` builds 10**|N| for it.
+
+    |N| is read from the text after the first e, and refused when
+    ``power_bits(10, |N|)``, a lower bound on the bits of 10**|N|, reaches
+    the 4 * limit bits past which ``check_printable`` refuses a power
+    unbuilt.  A smaller power is built, and what cannot be printed is
+    refused at output by ``text``.
+    """
+    limit = sys.get_int_max_str_digits()
+    exponent = literal.lower().partition("e")[2].strip().replace("_", "")
+    digits = (exponent[1:] if exponent[:1] in ("+", "-") else exponent).lstrip("0")
+    if not limit or not digits.isdecimal():
+        return  # no limit, no exponent, or one Fraction refuses
+    if len(digits) > len(str(4 * limit)) or power_bits(10, int(digits)) >= 4 * limit:
+        # the exponent is not printed: it may be too long for str()
+        raise ResourceLimit(f"a literal's power of ten has {4 * limit} bits or more: "
+                            "over the int-to-str limit")
+
+
 def text(value, what: str = "a number to print") -> str:
     """str(value), or ResourceLimit when it passes Python's int-to-str digit limit."""
     try:

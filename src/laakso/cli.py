@@ -27,6 +27,7 @@ from .space import Space
 
 
 def _fraction(text: str) -> Fraction:
+    budget.check_exponent(text)
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):

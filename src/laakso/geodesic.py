@@ -26,7 +26,6 @@ between two distinct levels there is a level of every higher order.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
 from math import lcm
 from operator import sub
 from typing import Optional, Union
@@ -187,53 +186,80 @@ _set_low, _set_high, _set_unit, _set_witnesses = slot_setters(MinimalInterval)
 # minimal interval and distance
 
 
-def minimal_interval(space: Space, x: Point, y: Point) -> MinimalInterval:
-    """The shortest height interval supporting a path between x and y.
+def _interval_bounds(space: Space, x: Point, y: Point) -> tuple[int, int, int, tuple]:
+    """The minimal interval of two distinct points in integers: (low, high, unit, witnesses).
 
-    Takes the first two difference orders of x and y, ascending.  An order
-    already witnessed inside the current interval costs nothing; an
-    unsatisfied order extends the interval either down or up to the nearest
-    level, and both extensions are kept as branches.  After two orders
-    every branch holds witnesses of two distinct orders, and the nesting
-    property supplies every higher required order in between, so no later
-    order is read.  The best branch wins: minimal width, then smaller b,
-    compared over one unit, the lcm of the height denominators and D_k2.
+    [a, b] = [low, high] / unit, unit the lcm of both height denominators
+    and D_k2, the level denominator of the last of the first two difference
+    orders; each witness is a level's (order, numerator, D_order).  The
+    interval starts at the endpoint heights, and the orders are taken
+    ascending.  An order already witnessed inside the current interval
+    costs nothing; an unsatisfied order extends the interval either down or
+    up to the nearest level, and both extensions are kept as candidates.
+    After two orders every candidate holds witnesses of two distinct
+    orders, and the nesting property supplies every higher required order
+    in between, so no later order is read.  The least width wins, then the
+    smaller b.
     """
-    if x == y:
-        raise ValueError("minimal interval undefined for equal points")
     ms = space.mseq
-    required = list(islice(difference_orders(x.address, y.address), 2))
-    lo, hi = (x.height, y.height) if x.height <= y.height else (y.height, x.height)
-    # a candidate: its bounds as numerators over their denominators, and a
-    # witness per order as the level's (order, numerator, D_order)
-    candidates: list[tuple] = [(lo.numerator, lo.denominator, hi.numerator, hi.denominator, ())]
+    orders = iter(difference_orders(x.address, y.address))
+    required = (next(orders, 0), next(orders, 0))  # ascending, 0 past the last order
+    hx, hy = x.height, y.height
+    if hx.numerator * hy.denominator <= hy.numerator * hx.denominator:
+        lo, hi = hx, hy
+    else:
+        lo, hi = hy, hx
+    unit = lcm(lo.denominator, hi.denominator, ms.D(max(required)))
+    # a candidate: its bounds over the unit, and its witnesses
+    candidates = [(lo.numerator * (unit // lo.denominator), hi.numerator * (unit // hi.denominator), ())]
     for order in required:
+        if not order:
+            break
         den, m_k = ms.grid(order)
-        grown: list[tuple] = []
-        for a, a_den, b, b_den, witnesses in candidates:
-            below, above = bracket(den, m_k, a, a_den)  # the levels at or below a and at or above it
-            if above < den and above * b_den <= b * den:  # inside [a, b]
-                grown.append((a, a_den, b, b_den, witnesses + ((order, above, den),)))
+        step = unit // den
+        grown = []
+        for a, b, witnesses in candidates:
+            below, above = bracket(den, m_k, a, unit)  # the levels at or below a and at or above it
+            if above < den and above * step <= b:  # inside [a, b]
+                grown.append((a, b, witnesses + ((order, above, den),)))
                 continue
             if below > 0:
-                grown.append((below, den, b, b_den, witnesses + ((order, below, den),)))
+                grown.append((below * step, b, witnesses + ((order, below, den),)))
             if above < den:  # none inside [a, b], so the least above a lies above b
-                grown.append((a, a_den, above, den, witnesses + ((order, above, den),)))
+                grown.append((a, above * step, witnesses + ((order, above, den),)))
         candidates = grown
     if not candidates:
         raise InvariantViolation("a required order had no level on either side")
-    unit = lcm(lo.denominator, hi.denominator, ms.D(max(required, default=0)))
-    ends = [(a * (unit // a_den), b * (unit // b_den), w)
-            for a, a_den, b, b_den, w in candidates]  # over the unit, which every bound's denominator divides
-    low, high, witnesses = min(ends, key=lambda t: (t[1] - t[0], t[1]))
+    if len(candidates) == 1:
+        low, high, witnesses = candidates[0]
+    else:
+        low, high, witnesses = min(candidates, key=lambda t: (t[1] - t[0], t[1]))
+    return low, high, unit, witnesses
+
+
+def minimal_interval(space: Space, x: Point, y: Point) -> MinimalInterval:
+    """The shortest height interval supporting a path between x and y.
+
+    The record of ``_interval_bounds``'s search, with its witnesses as levels.
+    """
+    if x == y:
+        raise ValueError("minimal interval undefined for equal points")
+    low, high, unit, witnesses = _interval_bounds(space, x, y)
     return MinimalInterval(low, high, unit, tuple((w[0], WormholeLevel(*w)) for w in witnesses))
 
 
 def distance(space: Space, x: Point, y: Point) -> Fraction:
-    """Exact geodesic distance: 2(b-a) - |h(y)-h(x)| over the minimal interval."""
+    """Exact geodesic distance: 2(b-a) - |h(y)-h(x)| over the minimal interval.
+
+    Taken straight from the integers of ``_interval_bounds``, over its unit,
+    which both height denominators divide: one ``Fraction``, and no record.
+    """
     if x == y:
         return Fraction(0)
-    return minimal_interval(space, x, y).length_between(x, y)
+    low, high, unit, _ = _interval_bounds(space, x, y)
+    hx, hy = x.height, y.height
+    rise = hy.numerator * (unit // hy.denominator) - hx.numerator * (unit // hx.denominator)
+    return Fraction(2 * (high - low) - abs(rise), unit)
 
 
 # ---------------------------------------------------------------------------

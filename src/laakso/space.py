@@ -79,10 +79,12 @@ class Space:
 
     def parse_point(self, text: str) -> Point:
         """Parse ``"101(0)@1/10"`` literals."""
-        if text.count("@") != 1:
+        addr_text, at, height_text = text.partition("@")
+        if not at or "@" in height_text:
             raise ParseError(f"bad point {text!r}: expected address@height")
-        addr_text, height_text = text.split("@")
         address = parse_address(addr_text)
+        if "e" in height_text.lower():  # an exponent: Fraction would build its power of ten unchecked
+            budget.check_exponent(height_text)
         try:
             height = Fraction(height_text)
         except (ValueError, ZeroDivisionError):

@@ -69,6 +69,10 @@ class MSequence:
         self._lo = isqrt(self._tie << 128)  # sqrt(tie) * 2**64 lies in [lo, lo+1)
         for _ in self.override:
             self._extend()
+        # what classify_height reads on every height
+        self._radical = self.n * (self.n + 1)  # every prime of every D_k divides it
+        self._integer = scale.is_integer
+        self._fixed = self._products[-1]  # D_L, L the override length
 
     def entry(self, i: int) -> int:
         """m_i (1-based)."""
@@ -184,15 +188,12 @@ def classify_height(ms: MSequence, y) -> Optional[WormholeLevel]:
     numerator, q = y.numerator, y.denominator
     if not 0 < numerator < q:
         return None
-    n = ms.n
-    if _strip(q, n * (n + 1)) != 1:
+    if _strip(q, ms._radical) != 1:
         return None
-    if ms.scale.is_integer:
-        # every entry past the override is n, so q divides some D_k exactly
-        # when the part of q outside D_L (L the override length) divides a
-        # power of n
-        if _strip(q // gcd(q, ms.D(len(ms.override))), n) != 1:
-            return None
+    # at an integer scale every entry past the override is n, so q divides
+    # some D_k exactly when the part of q outside D_L divides a power of n
+    if ms._integer and _strip(q // gcd(q, ms._fixed), ms.n) != 1:
+        return None
     # The search ends: at an integer scale by the test above, and at a
     # non-integer scale because the sandwich bound forces both n and n+1 to
     # recur, so every prime power of n(n+1) eventually divides D_k.

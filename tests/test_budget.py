@@ -10,13 +10,15 @@ which the rest of the file checks.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 from conftest import CLOSED_FORM_SPACES
 from hypothesis import given, settings, strategies as st
 
-from laakso.budget import power_bits
+from laakso.budget import check_exponent, power_bits
+from laakso.errors import ResourceLimit
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "laakso"
 
@@ -71,6 +73,7 @@ def test_the_budget_module_holds_every_budget():
     assert sorted(line.split(": ", 1)[1] for line in found) == [
         "binds MAX_LISTED_LEVELS", "binds MAX_SCALE_LOG2", "binds MAX_TAIL_BITS", "binds MAX_VERTICES",
         "bounds the bits of a power", "reads the int-to-str limit", "reads the int-to-str limit",
+        "reads the int-to-str limit",
     ]
 
 
@@ -109,3 +112,21 @@ def test_power_bits_is_below_the_bits_of_every_product(request, name):
 def test_power_bits_is_exact_at_powers_of_two():
     assert all(power_bits(1 << j, k) == (1 << j * k).bit_length() - 1
                for j in range(1, 20) for k in range(50))
+
+
+def test_an_exponent_is_read_from_the_text_before_fraction_builds_its_power():
+    # power_bits(10, N) = 3N reaches 4 * limit bits from this N on
+    edge = -(-4 * sys.get_int_max_str_digits() // 3)
+    for literal in (f"1e{edge - 1}", f"3E-{edge - 1}", f"1e-00{edge - 1}", "7/9", "0.5", "1",
+                    "1e", "e", "1e-x", f"{edge}", f"2e{edge}/3"):
+        check_exponent(literal)  # admitted, or left for Fraction to refuse
+    for literal in (f"1e{edge}", f"2E-{edge}", f"1e+0{edge}", f" 1e-{edge} ", f"1.5e-{edge}",
+                    f"1e{edge // 1000}_{edge % 1000:03}", "1e" + "9" * 5000):
+        with pytest.raises(ResourceLimit):
+            check_exponent(literal)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # no limit, so no refusal
+    try:
+        check_exponent("1e" + "9" * 5000)
+    finally:
+        sys.set_int_max_str_digits(limit)

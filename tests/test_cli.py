@@ -25,7 +25,7 @@ def invoke(runner, *args):
     return runner.invoke(main, args, catch_exceptions=False)
 
 
-def run_child(*args):
+def run_child(*args, timeout=120):
     """Run the command line in a child capped at 2 GB; its exit code, stderr and CPU seconds."""
 
     def cap():
@@ -34,7 +34,7 @@ def run_child(*args):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     result = subprocess.run([sys.executable, "-m", "laakso.cli", *args], capture_output=True,
-                            text=True, env=env, preexec_fn=cap, timeout=120)
+                            text=True, env=env, preexec_fn=cap, timeout=timeout)
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     seconds = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
     return result.returncode, result.stderr, seconds
@@ -123,6 +123,33 @@ class TestGlobalOptions:
         assert "scale budget" not in result.output
         # s = 2^(2^14) and D_8 for s = 2^(2^14/3) are too long to print
         assert result.exit_code == (0 if b == MAX_SCALE_LOG2 - 1 else 3)
+
+    @pytest.mark.parametrize("args", [
+        ("-s", "11/2", "distance", "(0)@1e-10000000", "(1)@1/2"),  # Fraction alone took 7.9 s
+        ("-s", "11/2", "distance", "(0)@1e-20000", "(1)@1/2"),  # decoding took 35 s
+        ("-s", "11/2", "distance", "(0)@1e-100000", "(1)@1/2"),  # a MemoryError under 2 GB
+        ("-s", "1e1000000", "space-info"),
+    ])
+    def test_a_huge_exponent_is_refused_before_its_power_is_built(self, args):
+        code, stderr, seconds = run_child(*args, timeout=30)
+        limit = sys.get_int_max_str_digits()
+        assert (code, stderr) == (3, f"error: a literal's power of ten has {4 * limit} bits or more: "
+                                     "over the int-to-str limit\n")
+        assert seconds < 1.0
+
+    @pytest.mark.parametrize("args", [
+        ("-q", "1E+20000", "space-info"),
+        ("-s", "3", "wormholes", "--order", "2", "--from", "1e-1_000_000"),
+        ("-s", "3", "wormholes", "--order", "2", "--to", "0.5e-20000"),
+        ("-s", "3", "oracle-export", "--depth", "1", "--extra-height", " 1e-0020000 "),
+        ("-s", "3", "distance", "(0)@1/3", "(1)@2E-20000"),
+    ])
+    def test_every_literal_checks_its_exponent(self, runner, args):
+        started = time.monotonic()
+        result = invoke(runner, *args)
+        assert time.monotonic() - started < 1.0
+        assert result.exit_code == 3
+        assert result.output.startswith("error: a literal's power of ten")
 
     @pytest.mark.parametrize("args", [
         ("-s", "3", "distance", "(0)@1e-4400", "(1)@1/2"),
