@@ -187,7 +187,7 @@ _set_low, _set_high, _set_unit, _set_witnesses = slot_setters(MinimalInterval)
 
 
 def _interval_bounds(space: Space, x: Point, y: Point) -> tuple[int, int, int, tuple]:
-    """The minimal interval of two distinct points in integers: (low, high, unit, witnesses).
+    """The minimal interval of x and y in integers: (low, high, unit, witnesses).
 
     [a, b] = [low, high] / unit, unit the lcm of both height denominators
     and D_k2, the level denominator of the last of the first two difference
@@ -199,7 +199,7 @@ def _interval_bounds(space: Space, x: Point, y: Point) -> tuple[int, int, int, t
     After two orders every candidate holds witnesses of two distinct
     orders, and the nesting property supplies every higher required order
     in between, so no later order is read.  The least width wins, then the
-    smaller b.
+    smaller b.  Equal points give their height twice and no witness.
     """
     ms = space.mseq
     orders = iter(difference_orders(x.address, y.address))
@@ -253,9 +253,8 @@ def distance(space: Space, x: Point, y: Point) -> Fraction:
 
     Taken straight from the integers of ``_interval_bounds``, over its unit,
     which both height denominators divide: one ``Fraction``, and no record.
+    Equal points need no test of their own: their interval is their height.
     """
-    if x == y:
-        return Fraction(0)
     low, high, unit, _ = _interval_bounds(space, x, y)
     hx, hy = x.height, y.height
     rise = hy.numerator * (unit // hy.denominator) - hx.numerator * (unit // hx.denominator)
