@@ -173,13 +173,18 @@ class MinimalInterval(Record):
 
     def length_between(self, x: Point, y: Point) -> Fraction:
         """2(b-a) - |h(y)-h(x)|: the length of a shortest path from x to y over [a, b]."""
-        hx, hy = x.height, y.height
-        unit = lcm(self.unit, hx.denominator, hy.denominator)  # self.unit for its own endpoints
-        rise = hy.numerator * (unit // hy.denominator) - hx.numerator * (unit // hx.denominator)
-        return Fraction(2 * (self.high - self.low) * (unit // self.unit) - abs(rise), unit)
+        unit = lcm(self.unit, x.height.denominator, y.height.denominator)  # self.unit for its own endpoints
+        return _length((self.high - self.low) * (unit // self.unit), unit, x, y)
 
 
 _set_low, _set_high, _set_unit, _set_witnesses = slot_setters(MinimalInterval)
+
+
+def _length(width: int, unit: int, x: Point, y: Point) -> Fraction:
+    """2 * width - |h(y)-h(x)| over unit, which both height denominators divide: one Fraction."""
+    hx, hy = x.height, y.height
+    rise = hy.numerator * (unit // hy.denominator) - hx.numerator * (unit // hx.denominator)
+    return Fraction(2 * width - abs(rise), unit)
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +261,7 @@ def distance(space: Space, x: Point, y: Point) -> Fraction:
     Equal points need no test of their own: their interval is their height.
     """
     low, high, unit, _ = _interval_bounds(space, x, y)
-    hx, hy = x.height, y.height
-    rise = hy.numerator * (unit // hy.denominator) - hx.numerator * (unit // hx.denominator)
-    return Fraction(2 * (high - low) - abs(rise), unit)
+    return _length(high - low, unit, x, y)
 
 
 # ---------------------------------------------------------------------------
