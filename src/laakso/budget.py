@@ -67,23 +67,30 @@ def check_printable(n: int, k: int, what: str) -> None:
 
 
 def check_exponent(literal: str) -> None:
-    """Refuse a literal ``...e<N>`` before ``Fraction`` builds 10**|N| for it.
+    """Refuse a decimal literal ``<m>e<N>`` before ``Fraction`` builds 10**|N| for it.
 
-    |N| is read from the text after the first e, and refused when
-    ``power_bits(10, |N|)``, a lower bound on the bits of 10**|N|, reaches
-    the 4 * limit bits past which ``check_printable`` refuses a power
-    unbuilt.  A smaller power is built, and what cannot be printed is
-    refused at output by ``text``.
+    m and N are read from the text around its first e, and |N| is refused
+    when ``power_bits(10, |N|)``, a lower bound on the bits of 10**|N|,
+    reaches the 4 * limit bits past which ``check_printable`` refuses a
+    power unbuilt.  A smaller power is built, and what cannot be printed is
+    refused at output by ``text``; text that is no such literal is left for
+    ``Fraction`` to refuse.
     """
     limit = sys.get_int_max_str_digits()
-    exponent = literal.lower().partition("e")[2].strip().replace("_", "")
-    digits = (exponent[1:] if exponent[:1] in ("+", "-") else exponent).lstrip("0")
-    if not limit or not digits.isdecimal():
-        return  # no limit, no exponent, or one Fraction refuses
+    mantissa, _, exponent = literal.lower().partition("e")
+    digits = _unsigned(exponent).lstrip("0")
+    if not (limit and digits.isdecimal() and _unsigned(mantissa).replace(".", "", 1).isdecimal()):
+        return
     if len(digits) > len(str(4 * limit)) or power_bits(10, int(digits)) >= 4 * limit:
         # the exponent is not printed: it may be too long for str()
         raise ResourceLimit(f"a literal's power of ten has {4 * limit} bits or more: "
                             "over the int-to-str limit")
+
+
+def _unsigned(text: str) -> str:
+    """A signed decimal's digits: its outer whitespace, underscores and sign dropped."""
+    text = text.strip().replace("_", "")
+    return text[1:] if text[:1] in ("+", "-") else text
 
 
 def text(value, what: str = "a number to print") -> str:

@@ -118,7 +118,7 @@ def test_an_exponent_is_read_from_the_text_before_fraction_builds_its_power():
     # power_bits(10, N) = 3N reaches 4 * limit bits from this N on
     edge = -(-4 * sys.get_int_max_str_digits() // 3)
     for literal in (f"1e{edge - 1}", f"3E-{edge - 1}", f"1e-00{edge - 1}", "7/9", "0.5", "1",
-                    "1e", "e", "1e-x", f"{edge}", f"2e{edge}/3"):
+                    "1e", "e", "1e-x", f"{edge}", f"2e{edge}/3", f"1/2e{edge}", f"x1e{edge}", f"e{edge}"):
         check_exponent(literal)  # admitted, or left for Fraction to refuse
     for literal in (f"1e{edge}", f"2E-{edge}", f"1e+0{edge}", f" 1e-{edge} ", f"1.5e-{edge}",
                     f"1e{edge // 1000}_{edge % 1000:03}", "1e" + "9" * 5000):
