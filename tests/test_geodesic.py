@@ -35,6 +35,23 @@ from conftest import (CLOSED_FORM_SPACES, random_address, random_point, referenc
                       reference_limit, seeded_pairs, stepwise_length)
 
 
+def walked_back(path: PathRep) -> PathRep:
+    """The path from its end to its start.
+
+    The moves come in reverse order, each segment with its ends swapped and
+    each jump with its addresses swapped.  A tail's moves before and after it
+    trade places, and it counts the jumps before its limit on the way back.
+    """
+    def back(moves: tuple) -> tuple:
+        return tuple(Segment(m.address, m.end, m.start) if isinstance(m, Segment)
+                     else Jump(m.level, m.to_address, m.from_address) for m in reversed(moves))
+
+    if path.tail is None:
+        return PathRep(path.end, path.start, back(path.items))
+    tail = Tail(path.tail.omega, sum(isinstance(m, Jump) for m in path.post))
+    return PathRep(path.end, path.start, back(path.post), tail, back(path.items))
+
+
 @pytest.fixture(scope="module")
 def worked_pair(s3):
     return s3.parse_point("(0)@1/5"), s3.parse_point("101(0)@1/10")
@@ -313,6 +330,23 @@ class TestWork:
             path_length(path)
             classify(path)
             assert fraction_count() - before <= 2
+
+    def test_geodesic_builds_each_move_once(self, s3, monkeypatch):
+        # from either end the path is built in the order it is walked, so no
+        # move is built for a path that is then turned round
+        x, y = s3.parse_point("0110(01)@1/9"), s3.parse_point("1(0011)@5/27")
+        built = Counter()
+        for record in (Segment, Jump):
+            def counted(self, *args, init=record.__init__):
+                built[type(self)] += 1
+                init(self, *args)
+
+            monkeypatch.setattr(record, "__init__", counted)
+        for a, b in ((x, y), (y, x)):
+            built.clear()
+            path = geodesic_path(s3, a, b, 32)
+            assert path.tail is not None
+            assert built == Counter(map(type, path.items + path.post))
 
     @pytest.mark.parametrize("name", CLOSED_FORM_SPACES)
     def test_distance_makes_one_fraction(self, request, name, fraction_count):
@@ -605,6 +639,19 @@ class TestGeodesic:
             for a, b in ((x, y), (y, x)):
                 for depth in (1, 8):
                     assert geodesic_path(space, a, b, depth, interval) == geodesic_path(space, a, b, depth)
+
+    @pytest.mark.parametrize("name", CLOSED_FORM_SPACES)
+    def test_either_end_walks_the_other_ends_path_back(self, request, name):
+        # equal heights are left out: there both orders start from their first argument
+        space = request.getfixturevalue(name)
+        cases = 0
+        for x, y in seeded_pairs(space, random.Random(f"{name}/reversal"), 60):
+            if x.height == y.height:
+                continue
+            for depth in (1, 8):
+                assert geodesic_path(space, y, x, depth) == walked_back(geodesic_path(space, x, y, depth))
+                cases += 1
+        assert cases > 60
 
     def test_jumps_are_valid_switches(self, s3):
         rng = random.Random(48)
