@@ -115,8 +115,10 @@ _set_level, _set_from_address, _set_to_address = slot_setters(Jump)
 class Tail(Record):
     """Accumulation record for the truncated infinite part of a path.
 
-    The runs into omega and out of it are not stored: ``classify`` reads
-    them off the heights the path shows just before and just after the tail.
+    ``truncated_at`` counts the jumps before the limit omega.  The run
+    between omega and the chain of jumps piling up at it is not stored, nor
+    the run on its other side unless omega is exact: ``classify`` reads a
+    run left out off the heights the path shows beside the tail.
     """
 
     __slots__ = ("omega", "truncated_at")
@@ -130,9 +132,11 @@ class PathRep(Record):
     """Combinatorial path: items, an optional tail, and post-tail moves.
 
     ``items`` alternate segments and jumps (zero-length segments are
-    omitted, so a jump may sit first or last).  ``post`` holds the moves
-    that happen beyond the accumulation height - normally just the final
-    approach segment, but a coarse-order jump can land there too.
+    omitted, so a jump may sit first or last; with no jump and no rise, one
+    empty segment).  ``post`` holds the moves past the limit.  The jumps
+    pile up at it from ``items`` on a ``connect`` path and on a geodesic
+    from its lower end, from ``post`` on one from its upper end; an exact
+    limit's run on the other side opens ``post`` or closes ``items``.
     """
 
     __slots__ = ("start", "end", "items", "tail", "post")
@@ -315,9 +319,9 @@ def _sweep_levels(space: Space, lo: Fraction, hi: Fraction, diffs: DifferenceOrd
     of ``diffs``, ascending, either continues the rising chain with the
     least level at or above its top, if that lies at or below hi, or drops
     in below the top as a straggler, the greatest level at or below it;
-    one rounding at the top finds both.  Returns the levels, with the
-    accumulation height right after the levels below it, and that height
-    (None when the set is finite).
+    one rounding at the top finds both.  Returns the levels in height order
+    and, when the set is infinite, the Tail of their accumulation height,
+    cutting after the levels below it; None when the set is finite.
     """
     ms = space.mseq
     anchored = {w.order for w in at_lo + at_hi}
@@ -347,21 +351,17 @@ def _sweep_levels(space: Space, lo: Fraction, hi: Fraction, diffs: DifferenceOrd
         if len(placed) > depth + 512:
             raise InvariantViolation("sweep did not stabilise")  # unreachable
     levels = at_lo + placed + at_hi
-    if omega is not None:
-        # materialized chain levels sit below an exact limit (reach -1), and at
-        # or below the floor of an enclosure (reach 0), as _cmp(w, edge) tells;
-        # the levels rise, so those are the first ones
-        edge, reach = (omega.lo, 0) if isinstance(omega, Interval) else (omega, -1)
-        levels.insert(sum(_cmp(w, edge) <= reach for w in levels), omega)
-    return levels, omega
+    if omega is None:
+        return levels, None
+    # materialized chain levels sit below an exact limit (reach -1), and at
+    # or below the floor of an enclosure (reach 0), as _cmp(w, edge) tells;
+    # the levels rise, so those are the first ones
+    edge, reach = (omega.lo, 0) if isinstance(omega, Interval) else (omega, -1)
+    return levels, Tail(omega, sum(_cmp(w, edge) <= reach for w in levels))
 
 
 # ---------------------------------------------------------------------------
 # path assembly
-#
-# Builders record a path as a list of moves in traversal order: Segments,
-# Jumps, and the limit height where a tail hides the accumulating moves.
-# ``_route`` emits the list and ``_assemble`` splits it at the limit.
 
 
 def _side(h, omega: Union[Fraction, Interval]) -> int:
@@ -371,77 +371,67 @@ def _side(h, omega: Union[Fraction, Interval]) -> int:
     return 1 if lo_gap >= 0 and hi_gap > 0 else -1 if hi_gap <= 0 and lo_gap < 0 else 0
 
 
-def _route(start: Point, end: Point, address: Address, end_address: Address,
-           levels: list, omega: Union[Fraction, Interval, None]) -> list:
-    """The moves from start, at address, to end, at end_address.
-
-    A run and a jump reach each of ``levels`` in turn, a tail the limit
-    omega among them, and a last run the end height.  A run is left out
-    where it is empty, or hidden by a tail (h is None).
-    """
-    moves: list = []
-    h = start.height
-    for i, level in enumerate(levels):
-        if level is omega:
-            moves.append(omega)
-            address = end_address
-            for undone in levels[i + 1:]:
-                address = address.switch(undone.order)  # undo the flips past it: limit address
-            # past a certified enclosure the run up to the next level stays
-            # implicit; everything after it is exact
-            h = None if isinstance(omega, Interval) else omega
-            continue
+def _walk(moves: list, address: Address, h, levels: list):
+    """Append a run (unless empty or h is None) and a jump per level; the last address and height."""
+    for level in levels:
         if h is not None and _cmp(h, level):
             moves.append(Segment(address, h, level))
         switched = address.switch(level.order)
         moves.append(Jump(level, address, switched))
         address, h = switched, level
+    return address, h
+
+
+def _route(start: Point, end: Point, address: Address, end_address: Address, levels: list,
+           tail: Optional[Tail] = None, chain_first: bool = True) -> PathRep:
+    """The path from start, at address, to end, at end_address, through levels in order.
+
+    A run and a jump reach each level in turn, and a last run the end
+    height.  A tail cuts the levels after its ``truncated_at``-th; the
+    moves past it start at end_address with the later levels' flips
+    undone.  The chain piles up at the limit before the cut if chain_first,
+    after it otherwise; the runs beside the limit follow ``Tail``.
+    """
+    cut = len(levels) if tail is None else tail.truncated_at
+    items: list = []
+    address, h = _walk(items, address, start.height, levels[:cut])
+    post = items
+    if tail is not None:
+        omega = tail.omega
+        exact = not isinstance(omega, Interval)
+        if exact and not chain_first and _cmp(h, omega):
+            items.append(Segment(address, h, omega))
+        post, address = [], end_address
+        for undone in levels[cut:]:
+            address = address.switch(undone.order)  # the limit's address
+        address, h = _walk(post, address, omega if exact and chain_first else None, levels[cut:])
     if h is not None and _cmp(h, end.height):
-        moves.append(Segment(address, h, end.height))
+        post.append(Segment(address, h, end.height))
     if address != end_address:
         raise InvariantViolation("path ends at the wrong address")
-    return moves
-
-
-def _flip(move):
-    """The move walked the other way."""
-    if isinstance(move, Segment):
-        return Segment(move.address, move.end, move.start)
-    if isinstance(move, Jump):
-        return Jump(move.level, move.to_address, move.from_address)
-    return move
-
-
-def _assemble(start: Point, end: Point, moves: list, omega) -> PathRep:
-    """The PathRep of a move list: the moves before the limit omega, its Tail, the moves after it."""
-    if omega is None:
-        return PathRep(start, end, tuple(moves))
-    kinds = [*map(type, moves)]  # the limit is the one move of its type
-    split = kinds.index(type(omega))
-    tail = Tail(omega, kinds[:split].count(Jump))
-    return PathRep(start, end, tuple(moves[:split]), tail, tuple(moves[split + 1:]))
-
-
-def _resting(point: Point) -> PathRep:
-    """The path from a point to itself: one empty segment."""
-    return PathRep(point, point, (Segment(point.address, point.height, point.height),))
+    if tail is None:
+        return PathRep(start, end, tuple(items) or (Segment(address, h, h),))
+    return PathRep(start, end, tuple(items), tail, tuple(post))
 
 
 def geodesic_path(space: Space, x: Point, y: Point, depth: int = 8,
                   interval: Optional[MinimalInterval] = None) -> PathRep:
     """A shortest path realizing the minimal interval.
 
-    Built from the lower endpoint: descend to a, sweep monotonically up to
-    b taking one jump per required order, descend to the other endpoint;
-    degenerate legs are omitted.  A witness at a or b beyond the endpoints
+    From the lower endpoint: descend to a, sweep monotonically up to b
+    taking one jump per required order, descend to the other endpoint;
+    degenerate legs are omitted.  From the upper endpoint the same levels
+    are passed the other way.  A witness at a or b beyond the endpoints
     is an anchor, so the sweep's first or last level.  The result makes at
     most two inversions and its length equals the distance exactly
     whenever the limit height is exact (always so for an integer scale).
     ``interval``, if given, is ``minimal_interval(space, x, y)``, found by
     the caller; it is not found again.
     """
-    if x == y:
-        return _resting(x)
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    if x == y:  # no interval: one empty run
+        return _route(x, y, x.address, y.address, [])
     low, high = (x, y) if x.height <= y.height else (y, x)
     if interval is None:
         interval = minimal_interval(space, low, high)
@@ -449,11 +439,12 @@ def geodesic_path(space: Space, x: Point, y: Point, depth: int = 8,
     at_a = [w for _, w in interval.witnesses if a < low.height and _cmp(w, a) == 0]
     at_b = [w for _, w in interval.witnesses if b > high.height and _cmp(w, b) == 0]
     diffs = difference_orders(low.address, high.address)
-    levels, omega = _sweep_levels(space, a, b, diffs, at_a, at_b, depth)
-    moves = _route(low, high, low.address, high.address, levels, omega)
-    if low is not x:
-        moves = [_flip(move) for move in reversed(moves)]
-    return _assemble(x, y, moves, omega)
+    levels, tail = _sweep_levels(space, a, b, diffs, at_a, at_b, depth)
+    if low is not x:  # walked down from the top: the cut counts from the other end
+        levels.reverse()
+        if tail is not None:
+            tail = Tail(tail.omega, len(levels) - tail.truncated_at)
+    return _route(x, y, x.address, y.address, levels, tail, low is x)
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +461,8 @@ def connect(space: Space, x: Point, y: Point, strategy: str = NEAREST, depth: in
     """
     if strategy not in (NEAREST, INCREASING):
         raise ValueError(f"unknown strategy {strategy!r}")
-    if x == y:
-        return _resting(x)
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     ms = space.mseq
     start_address, end_address = x.address, y.address
     # start and end from the identification-compatible representatives
@@ -488,8 +479,8 @@ def connect(space: Space, x: Point, y: Point, strategy: str = NEAREST, depth: in
     # sweeps, down towards 0 otherwise
     upward = y.height >= x.height
     rising = strategy == NEAREST or upward
-    levels: list = []  # the levels, then the limit, if any
-    omega: Union[Fraction, Interval, None] = None
+    levels: list = []
+    tail: Optional[Tail] = None
     h = x.height
     for count, order in enumerate(diffs, 1):
         if strategy == NEAREST:
@@ -502,9 +493,9 @@ def connect(space: Space, x: Point, y: Point, strategy: str = NEAREST, depth: in
         omega = _limit(ms, diffs, order, h, int(rising))
         if omega is None:
             raise InvariantViolation("connect's limit lies outside [0, 1]")
-        levels.append(omega)
+        tail = Tail(omega, count)
         break
-    return _assemble(x, y, _route(x, y, start_address, end_address, levels, omega), omega)
+    return _route(x, y, start_address, end_address, levels, tail)
 
 
 # ---------------------------------------------------------------------------

@@ -653,6 +653,14 @@ class TestGeodesic:
                 cases += 1
         assert cases > 60
 
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_depth_below_one_is_refused(self, s3, corner_pair, depth):
+        # as the oracle's build refuses it, rather than cutting after one jump
+        for build in (geodesic_path, lambda *args, depth: connect(*args, "nearest", depth),
+                      lambda *args, depth: connect(*args, "increasing", depth)):
+            with pytest.raises(ValueError, match="depth"):
+                build(s3, *corner_pair, depth=depth)
+
     def test_jumps_are_valid_switches(self, s3):
         rng = random.Random(48)
         for _ in range(200):
