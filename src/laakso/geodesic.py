@@ -371,13 +371,17 @@ def _side(h, omega: Union[Fraction, Interval]) -> int:
     return 1 if lo_gap >= 0 and hi_gap > 0 else -1 if hi_gap <= 0 and lo_gap < 0 else 0
 
 
-def _walk(moves: list, address: Address, h, levels: list):
-    """Append a run (unless empty or h is None) and a jump per level; the last address and height."""
+def _walk(moves: list, address: Address, h, levels: list, back: bool = False):
+    """Append a run (unless empty) and a jump per level; the last address and height.
+
+    With back, the walk starts at the end and meets the levels in reverse,
+    and each move is appended as walked forward: the list reads backwards.
+    """
     for level in levels:
-        if h is not None and _cmp(h, level):
-            moves.append(Segment(address, h, level))
+        if _cmp(h, level):
+            moves.append(Segment(address, level, h) if back else Segment(address, h, level))
         switched = address.switch(level.order)
-        moves.append(Jump(level, address, switched))
+        moves.append(Jump(level, switched, address) if back else Jump(level, address, switched))
         address, h = switched, level
     return address, h
 
@@ -387,30 +391,31 @@ def _route(start: Point, end: Point, address: Address, end_address: Address, lev
     """The path from start, at address, to end, at end_address, through levels in order.
 
     A run and a jump reach each level in turn, and a last run the end
-    height.  A tail cuts the levels after its ``truncated_at``-th; the
-    moves past it start at end_address with the later levels' flips
-    undone.  The chain piles up at the limit before the cut if chain_first,
-    after it otherwise; the runs beside the limit follow ``Tail``.
+    height; with no level and no rise, the path is one empty run.  A tail
+    cuts the levels after its ``truncated_at``-th; the moves past it are
+    walked back from the end, so they start at end_address with the later
+    levels' flips undone.  The chain piles up at the limit before the cut
+    if chain_first, after it otherwise; the runs beside the limit follow
+    ``Tail``.
     """
     cut = len(levels) if tail is None else tail.truncated_at
     items: list = []
     address, h = _walk(items, address, start.height, levels[:cut])
-    post = items
-    if tail is not None:
-        omega = tail.omega
-        exact = not isinstance(omega, Interval)
-        if exact and not chain_first and _cmp(h, omega):
-            items.append(Segment(address, h, omega))
-        post, address = [], end_address
-        for undone in levels[cut:]:
-            address = address.switch(undone.order)  # the limit's address
-        address, h = _walk(post, address, omega if exact and chain_first else None, levels[cut:])
-    if h is not None and _cmp(h, end.height):
-        post.append(Segment(address, h, end.height))
-    if address != end_address:
-        raise InvariantViolation("path ends at the wrong address")
     if tail is None:
+        if _cmp(h, end.height):
+            items.append(Segment(address, h, end.height))
+        if address != end_address:
+            raise InvariantViolation("path ends at the wrong address")
         return PathRep(start, end, tuple(items) or (Segment(address, h, h),))
+    omega = tail.omega
+    exact = not isinstance(omega, Interval)
+    if exact and not chain_first and _cmp(h, omega):
+        items.append(Segment(address, h, omega))
+    post: list = []
+    address, h = _walk(post, end_address, end.height, levels[cut:][::-1], back=True)
+    if exact and chain_first and _cmp(omega, h):
+        post.append(Segment(address, omega, h))
+    post.reverse()
     return PathRep(start, end, tuple(items), tail, tuple(post))
 
 
