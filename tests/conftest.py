@@ -7,8 +7,9 @@ from math import lcm
 import pytest
 
 from laakso import (Address, InfeasibleSequence, Interval, InvariantViolation, Jump, MSequence,
-                    Point, ScaleFactor, Segment, Space, WormholeLevel, classify_height,
-                    difference_orders, first_in_interval)
+                    ParseError, Point, ScaleFactor, Segment, Space, WormholeLevel, classify_height,
+                    difference_orders, first_in_interval, parse_address)
+from laakso.budget import check_exponent
 from laakso.record import Record
 from laakso.wormhole import level_from_numerator, snap
 
@@ -145,6 +146,28 @@ def reference_nearest(ms: MSequence, k: int, y):
     y = Fraction(y.numerator, y.denominator)
     sides = [w for w in (reference_snap(ms, k, y, False), reference_snap(ms, k, y, True)) if w]
     return min(sides, key=lambda w: (abs(w.value - y), -w.value))
+
+
+def reference_parse_point(space: Space, text: str) -> Point:
+    """``Space.parse_point`` with every height read by ``Fraction(text)``.
+
+    The rule a point literal's height follows, messages included: an
+    exponent is checked against its budget first, and any text ``Fraction``
+    refuses is a bad height.
+    """
+    addr_text, at, height_text = text.partition("@")
+    if not at or "@" in height_text:
+        raise ParseError(f"bad point {text!r}: expected address@height")
+    address = parse_address(addr_text)
+    if "e" in height_text.lower():
+        check_exponent(height_text)
+    try:
+        height = Fraction(height_text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"bad height {height_text!r} in {text!r}") from None
+    if not 0 <= height.numerator <= height.denominator:
+        raise ParseError(f"height {height_text!r} in {text!r} outside [0, 1]")
+    return space.point(address, height)
 
 
 def reference_interval(space: Space, x: Point, y: Point):

@@ -89,6 +89,13 @@ class TestGlobalOptions:
         assert result.exit_code == 2
         assert result.output == "error: height '1e5000' in '(0)@1e5000' outside [0, 1]\n"
 
+    @pytest.mark.parametrize("literal", ["101\n@1/2", "\n@1/2"])
+    def test_an_address_with_a_trailing_newline_exits_2(self, runner, literal):
+        result = invoke(runner, "-s", "3", "distance", literal, "0@1/3")
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: bad address ") and result.stderr.count("\n") == 1
+
     @pytest.mark.parametrize("args, message", [
         (("-s", "1e-5000", "space-info"), "error: scale '1e-5000' must exceed 2\n"),
         (("-q", "1e5000", "space-info"),

@@ -17,6 +17,7 @@ from laakso import (
     parse_address,
     value,
 )
+from laakso import fractal
 from laakso.oracle import _column, build, point_at
 from laakso.space import Space
 from conftest import (TupleAddress, TupleDifferenceOrders, random_address, tuple_column,
@@ -393,6 +394,11 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_address(bad)
 
+    @pytest.mark.parametrize("bad", ["101\n", "(0)\n", "\n"])
+    def test_a_trailing_newline_is_refused(self, bad):
+        with pytest.raises(ParseError, match="^bad address "):
+            parse_address(bad)
+
 
 def _agrees_with_reference(a: Address, ref: TupleAddress) -> None:
     """Every reading of a matches the tuple-backed reference holding the same string."""
@@ -463,6 +469,48 @@ class TestAgainstTupleReference:
             assert list(takewhile(lambda k: k < end, diffs)) == \
                 list(takewhile(lambda k: k < end, expected))
             assert list(diffs.between(lo, lo + width)) == list(expected.between(lo, lo + width))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.integers(0, 1), max_size=40),
+           st.lists(st.integers(0, 1), min_size=1, max_size=12),
+           st.lists(st.integers(0, 1), max_size=40),
+           st.lists(st.integers(0, 1), min_size=1, max_size=12),
+           st.lists(st.integers(1, 60), max_size=3), st.integers(0, 11), st.booleans())
+    def test_first_two_orders_are_the_lazy_scans_first_two(self, prefix, cycle, other_prefix,
+                                                           other_cycle, flips, turn, twin):
+        # b is unrelated to a, a's string behind another prefix and a turn of
+        # its cycle (in phase when the turn lines the tails up), or a with
+        # finitely many flips
+        a = Address(tuple(prefix), tuple(cycle))
+        if twin:
+            turn %= a.cycle_len
+            other_cycle = a.cycle[turn:] + a.cycle[:turn]
+        b = Address(tuple(other_prefix), tuple(other_cycle))
+        if flips:
+            b = a
+            for n in flips:
+                b = b.switch(n)
+        assert fractal.first_two_orders(a, a) == (0, 0)
+        for x, y in ((a, b), (b, a)):
+            lazy = tuple(islice(difference_orders(x, y), 2))
+            assert fractal.first_two_orders(x, y) == lazy + (0,) * (2 - len(lazy))
+
+    def test_first_two_orders_of_long_cycles_read_one_window(self, monkeypatch):
+        # cycles of 4 999 and 5 000 digits repeat together only after about
+        # 25 M digits; orders 1 and 2 lie in the first 64-digit window
+        a = parse_address("11(" + "0" * 4998 + "1)")
+        b = parse_address("00(" + "0" * 4999 + "1)")
+        assert lcm(a.cycle_len, b.cycle_len) == 4999 * 5000
+        reached = []
+        reaching = Address._reaching
+
+        def counted(address, n):
+            reached.append(n)
+            return reaching(address, n)
+
+        monkeypatch.setattr(Address, "_reaching", counted)
+        assert fractal.first_two_orders(a, b) == (1, 2)
+        assert reached and max(reached) <= 64
 
     @pytest.mark.parametrize("ratio, override, depth",
                              [(3, (), 4), (3, (4, 3, 3), 3), (Fraction(7, 2), (), 3)])

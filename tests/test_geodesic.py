@@ -11,6 +11,7 @@ import pytest
 
 from laakso import (
     Address,
+    DifferenceOrders,
     Interval,
     Jump,
     MinimalInterval,
@@ -373,6 +374,20 @@ class TestWork:
         monkeypatch.setattr(MinimalInterval, "__init__", refused)
         monkeypatch.setattr(WormholeLevel, "__init__", refused)
         assert [distance(space, x, y) for x, y in pairs] == want
+
+    @pytest.mark.parametrize("name", CLOSED_FORM_SPACES)
+    def test_distance_reads_its_two_orders_without_the_lazy_scan(self, request, name, monkeypatch):
+        # the closed form needs the first two difference orders only: they are
+        # read from the expansions directly, not from a DifferenceOrders
+        space = request.getfixturevalue(name)
+        pairs = seeded_pairs(space, random.Random(f"{name}/orders"), 60)
+        want = [(distance(space, x, y), minimal_interval(space, x, y)) for x, y in pairs]
+
+        def refused(self, *args):
+            raise AssertionError("DifferenceOrders built")
+
+        monkeypatch.setattr(DifferenceOrders, "__init__", refused)
+        assert [(distance(space, x, y), minimal_interval(space, x, y)) for x, y in pairs] == want
 
     def test_geodesic_reads_each_order_once(self, s3, monkeypatch):
         # the interval's scan and the sweep's take the orders from bit windows

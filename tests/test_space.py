@@ -2,11 +2,40 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from laakso import Interval, ParseError, ResourceLimit, Space, difference_orders, parse_address, value
-from conftest import omega_value, preimages, random_address
+from conftest import omega_value, preimages, random_address, reference_parse_point
 
 ZERO = parse_address("(0)")
+
+
+def _outcome(parse, text):
+    """What parsing text gives: the point, or the error's type and message."""
+    try:
+        return parse(text)
+    except Exception as error:
+        return type(error), str(error)
+
+
+_SPACE = st.sampled_from(["", "", "", " ", "\t", "\n"])
+_SIGN = st.sampled_from(["", "", "", "+", "-"])
+# leading zeros, underscores, digits that str.isdigit accepts and int refuses
+# (superscript two) or that int and Fraction accept (Arabic-Indic one), and
+# 4 301 digits, one past the default int-to-str limit
+_DIGITS = st.one_of(st.text("0123456789", max_size=6), st.text("00123456789_", max_size=6),
+                    st.text("0123456789\u00b2\u0661", max_size=4),
+                    st.sampled_from(["1" * 4301, "0" * 4300 + "1", "9" * 4300]))
+# exponents each side of check_exponent's bound of 5 734 at the default limit
+_EXPONENT = st.one_of(st.integers(0, 40).map(str), st.sampled_from(["5733", "5734", "99999", "1_0"]))
+_HEIGHT_TEXT = st.builds(
+    lambda lead, sign, num, rest, trail: lead + sign + num + rest + trail,
+    _SPACE, _SIGN, _DIGITS,
+    st.one_of(st.just(""), st.builds("/{}{}".format, _SIGN, _DIGITS),
+              st.builds(".{}".format, _DIGITS),
+              st.builds("{}{}{}".format, st.sampled_from(["e", "E", ".5e"]), _SIGN, _EXPONENT)),
+    _SPACE)
+_ODD_TEXT = st.text("0123456789/+-_ .e\u00b2\u0661", max_size=8)
 
 
 class TestConfig:
@@ -139,6 +168,28 @@ class TestPointLiterals:
             s3.parse_point(text)
         assert str(info.value) == message
 
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(["1(0)", "(01)", "0110(01)"]), st.one_of(_HEIGHT_TEXT, _ODD_TEXT))
+    @example("1(0)", "007/021")
+    @example("1(0)", "1/0")
+    @example("1(0)", "\u00b2")
+    @example("1(0)", "\u0661/3")
+    @example("1(0)", "1" * 4301 + "/2")
+    @example("1(0)", "1/" + "1" * 4301)
+    @example("1(0)", "1e-5734")
+    def test_every_height_reads_as_fraction_reads_it(self, s3, address, height):
+        # the same point, or the same error and message, as Fraction(text)
+        text = f"{address}@{height}"
+        assert _outcome(s3.parse_point, text) == _outcome(lambda t: reference_parse_point(s3, t), text)
+
+    @pytest.mark.parametrize("text", ["\n@1/2", "101\n@1/2", "(0)\n@1/2"])
+    def test_an_address_with_a_newline_is_refused(self, s3, text):
+        with pytest.raises(ParseError, match="^bad address "):
+            s3.parse_point(text)
+
+    def test_a_height_keeps_fractions_rule_on_whitespace(self, s3):
+        assert s3.parse_point("(0)@ 1/2\n") == s3.parse_point("(0)@1/2")
+
     def test_point_takes_int_str_and_fraction_heights(self, s3):
         one = parse_address("1(0)")
         assert s3.point(one, 1) == s3.point(one, "1") == s3.point(one, Fraction(1))
@@ -148,3 +199,4 @@ class TestPointLiterals:
         for bad in (2, "-1/3", Fraction(4, 3)):
             with pytest.raises(ParseError, match=r"height outside \[0, 1\]"):
                 s3.point(one, bad)
+
