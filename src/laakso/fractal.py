@@ -143,15 +143,14 @@ class DifferenceOrders(Record):
         return tuple(takewhile(lambda k: k < self.start, self))
 
     def between(self, lo: int, hi: int) -> Iterator[int]:
-        """The positions k with lo < k <= hi, read in windows of doubling width."""
-        a, b, width = self.a, self.b, 64
+        """The positions k with lo < k <= hi, read by ``_scan`` up to each window holding one."""
+        width = 64
         while lo < hi:
-            top = min(hi, lo + width)
-            bits = (a._reaching(top)[0] ^ b._reaching(top)[0]) >> lo & ((1 << (top - lo)) - 1)
+            bits, top, width = _scan(self.a, self.b, lo, hi, width, 1)
             while bits:  # the set bits, lowest first
                 yield lo + (bits & -bits).bit_length()
                 bits &= bits - 1
-            lo, width = top, 2 * width
+            lo = top
 
     def __iter__(self) -> Iterator[int]:
         window = []
@@ -169,8 +168,8 @@ class DifferenceOrders(Record):
 _set_a, _set_b, _set_start, _set_period, _set_is_finite = slot_setters(DifferenceOrders)
 
 
-def difference_orders(a: Address, b: Address) -> DifferenceOrders:
-    """All positions where the expansions of a and b disagree, read lazily.
+def _tails(a: Address, b: Address) -> tuple[int, int, bool]:
+    """(start, period, in phase): from start on both strings repeat with period, and agree when in phase.
 
     Canonical cycles are primitive and least rotations, so the tails agree
     exactly when the cycles are equal and in phase: finiteness is decided
@@ -179,7 +178,41 @@ def difference_orders(a: Address, b: Address) -> DifferenceOrders:
     m = a.cycle_len
     in_phase = (a.cycle_bits == b.cycle_bits and m == b.cycle_len
                 and (a.prefix_len - b.prefix_len) % m == 0)
-    return DifferenceOrders(a, b, max(a.prefix_len, b.prefix_len) + 1, lcm(m, b.cycle_len), in_phase)
+    return max(a.prefix_len, b.prefix_len) + 1, lcm(m, b.cycle_len), in_phase
+
+
+def _scan(a: Address, b: Address, lo: int, hi: int, width: int, count: int) -> tuple[int, int, int]:
+    """The XOR of digits lo+1..top of a and b, shifted down by lo: (bits, top, next width).
+
+    Windows of doubling width, from ``width``, are read until they hold
+    count differing positions or reach hi.
+    """
+    bits, top = 0, lo
+    while top < hi and bits.bit_count() < count:
+        top = min(hi, top + width)
+        bits = (a._reaching(top)[0] ^ b._reaching(top)[0]) >> lo & ((1 << (top - lo)) - 1)
+        width *= 2
+    return bits, top, width
+
+
+def difference_orders(a: Address, b: Address) -> DifferenceOrders:
+    """All positions where the expansions of a and b disagree, read lazily."""
+    return DifferenceOrders(a, b, *_tails(a, b))
+
+
+def first_two_orders(a: Address, b: Address) -> tuple[int, int]:
+    """The first two positions where a and b disagree, 0 for each one missing.
+
+    One ``_scan`` to the end of the first period window (to the periodic
+    start when the set is finite).  An infinite set differs in every period
+    window, so a lone position found lies there and the next is a period on.
+    """
+    start, period, in_phase = _tails(a, b)
+    bits = _scan(a, b, 0, start - 1 + (0 if in_phase else period), 64, 2)[0]
+    k1 = (bits & -bits).bit_length()
+    bits &= bits - 1
+    k2 = (bits & -bits).bit_length()
+    return k1, k2 or (0 if in_phase else k1 + period)
 
 
 def _series_value(a: Address, u: Fraction) -> Fraction:
@@ -225,7 +258,7 @@ def value(a: Address, scale: ScaleFactor, bits: int = 64) -> Union[Fraction, Int
     return result
 
 
-_ADDRESS_RE = re.compile(r"^([01]*)(?:\(([01]+)\))?$")
+_ADDRESS_RE = re.compile(r"([01]*)(?:\(([01]+)\))?")
 
 #: The byte values 0 and 1 to the ASCII digits "0" and "1", and back.
 _DIGIT_TEXT = bytes.maketrans(b"\x00\x01", b"01")
@@ -243,7 +276,7 @@ def parse_address(text: str) -> Address:
     ``"(10)"`` is purely periodic; a bare digit string such as ``"101"``
     abbreviates ``"101(0)"``.
     """
-    match = _ADDRESS_RE.match(text)
+    match = _ADDRESS_RE.fullmatch(text)
     if match is None:
         raise ParseError(f"bad address {text!r}: expected digits in {{0,1}} with an "
                          f"optional nonempty (cycle)")

@@ -32,7 +32,7 @@ from typing import Optional, Union
 
 from . import budget
 from .errors import InvariantViolation
-from .fractal import Address, DifferenceOrders, difference_orders
+from .fractal import Address, DifferenceOrders, difference_orders, first_two_orders
 from .numeric import Interval
 from .record import Record, slot_setters
 from .space import Point, Space
@@ -201,18 +201,18 @@ def _interval_bounds(space: Space, x: Point, y: Point) -> tuple[int, int, int, t
     [a, b] = [low, high] / unit, unit the lcm of both height denominators
     and D_k2, the level denominator of the last of the first two difference
     orders; each witness is a level's (order, numerator, D_order).  The
-    interval starts at the endpoint heights, and the orders are taken
-    ascending.  An order already witnessed inside the current interval
+    interval starts at the endpoint heights, and the two orders, read by
+    ``first_two_orders`` with no lazy scan, are taken ascending.  An order
+    already witnessed inside the current interval
     costs nothing; an unsatisfied order extends the interval either down or
     up to the nearest level, and both extensions are kept as candidates.
-    After two orders every candidate holds witnesses of two distinct
-    orders, and the nesting property supplies every higher required order
-    in between, so no later order is read.  The least width wins, then the
+    After two orders every candidate holds witnesses of two distinct orders,
+    and the nesting property supplies every higher required order in
+    between, so no later order is read.  The least width wins, then the
     smaller b.  Equal points give their height twice and no witness.
     """
     ms = space.mseq
-    orders = iter(difference_orders(x.address, y.address))
-    required = (next(orders, 0), next(orders, 0))  # ascending, 0 past the last order
+    required = first_two_orders(x.address, y.address)  # ascending, 0 past the last order
     hx, hy = x.height, y.height
     if hx.numerator * hy.denominator <= hy.numerator * hx.denominator:
         lo, hi = hx, hy

@@ -78,15 +78,21 @@ class Space:
         return self._canonical(address, height)
 
     def parse_point(self, text: str) -> Point:
-        """Parse ``"101(0)@1/10"`` literals."""
+        """Parse ``"101(0)@1/10"`` literals.
+
+        A height ``p`` or ``p/q`` in ASCII digits takes two ``int`` calls; any
+        other goes to ``Fraction(text)``, which reads it or refuses it.
+        """
         addr_text, at, height_text = text.partition("@")
         if not at or "@" in height_text:
             raise ParseError(f"bad point {text!r}: expected address@height")
         address = parse_address(addr_text)
+        num, slash, den = height_text.partition("/")
+        digits = height_text.isascii() and num.isdigit() and (den.isdigit() or not slash)
         if "e" in height_text.lower():  # an exponent: Fraction would build its power of ten unchecked
             budget.check_exponent(height_text)
         try:
-            height = Fraction(height_text)
+            height = Fraction(int(num), int(den or 1)) if digits else Fraction(height_text)
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad height {height_text!r} in {text!r}") from None
         if not 0 <= height.numerator <= height.denominator:
