@@ -203,13 +203,13 @@ def _interval_bounds(space: Space, x: Point, y: Point) -> tuple[int, int, int, t
     orders; each witness is a level's (order, numerator, D_order).  The
     interval starts at the endpoint heights, and the two orders, read by
     ``first_two_orders`` with no lazy scan, are taken ascending.  An order
-    already witnessed inside the current interval
-    costs nothing; an unsatisfied order extends the interval either down or
-    up to the nearest level, and both extensions are kept as candidates.
-    After two orders every candidate holds witnesses of two distinct orders,
-    and the nesting property supplies every higher required order in
-    between, so no later order is read.  The least width wins, then the
-    smaller b.  Equal points give their height twice and no witness.
+    already witnessed inside the current interval costs nothing; an
+    unsatisfied order extends the interval either down or up to the
+    nearest level, and both extensions are kept as candidates.  After two
+    orders every candidate holds witnesses of two distinct orders, and the
+    nesting property supplies every higher required order in between, so
+    no later order is read.  The least width wins, then the smaller b.
+    Equal points give their height twice and no witness.
     """
     ms = space.mseq
     required = first_two_orders(x.address, y.address)  # ascending, 0 past the last order
