@@ -17,7 +17,7 @@ from laakso import (
     parse_address,
     value,
 )
-from laakso import fractal
+from laakso.fractal import first_two_orders
 from laakso.oracle import _column, build, point_at
 from laakso.space import Space
 from conftest import (TupleAddress, TupleDifferenceOrders, random_address, tuple_column,
@@ -486,10 +486,10 @@ class TestAgainstTupleReference:
             b = a
             for n in flips:
                 b = b.switch(n)
-        assert fractal.first_two_orders(a, a) == (0, 0)
+        assert first_two_orders(a, a) == (0, 0)
         for x, y in ((a, b), (b, a)):
             lazy = tuple(islice(difference_orders(x, y), 2))
-            assert fractal.first_two_orders(x, y) == lazy + (0,) * (2 - len(lazy))
+            assert first_two_orders(x, y) == lazy + (0,) * (2 - len(lazy))
 
     def test_first_two_orders_of_long_cycles_read_one_window(self, monkeypatch):
         # cycles of 4 999 and 5 000 digits repeat together only after about
@@ -505,7 +505,7 @@ class TestAgainstTupleReference:
             return reaching(address, n)
 
         monkeypatch.setattr(Address, "_reaching", counted)
-        assert fractal.first_two_orders(a, b) == (1, 2)
+        assert first_two_orders(a, b) == (1, 2)
         assert reached and max(reached) <= 64
 
     @pytest.mark.parametrize("ratio, override, depth",
